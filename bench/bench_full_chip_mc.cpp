@@ -15,7 +15,8 @@
 // the runner's CPU count (thread-scaling numbers are only meaningful
 // relative to it — a 1-CPU container cannot show wall-clock speedup) plus
 // each record's peak RSS and MemoryBudget high-water mark, which
-// `rgleak batch --mem-model` reads to calibrate admission control.
+// `rgleak batch --cost-model` reads to calibrate the planner's memory
+// predictions.
 //
 // `bench_full_chip_mc --smoke` runs a tiny CI-sized configuration and exits
 // non-zero if threaded throughput falls below serial — the regression guard
@@ -65,7 +66,7 @@ struct McRecord {
   /// Wall-clock overhead vs. the matching baseline config, in percent.
   double overhead_pct = 0.0;
   /// Process peak RSS (KiB) and MemoryBudget high-water mark (bytes) when
-  /// the record was taken. Both are process-lifetime monotone; `--mem-model`
+  /// the record was taken. Both are process-lifetime monotone; `--cost-model`
   /// calibration reads the largest per-site coefficient, so that is fine.
   double peak_rss_kb = 0.0;
   std::uint64_t budget_peak_bytes = 0;

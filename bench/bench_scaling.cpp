@@ -6,7 +6,7 @@
 // `bench_scaling --exact-json[=PATH]` skips google-benchmark and instead
 // records the exact-estimator perf trajectory (sites, method, wall_ms,
 // speedup vs the serial direct baseline, peak RSS, and the per-method
-// MemoryBudget high-water mark used by `rgleak batch --mem-model`) to
+// MemoryBudget high-water mark used by `rgleak batch --cost-model`) to
 // BENCH_exact_estimator.json.
 
 #include <benchmark/benchmark.h>
@@ -159,7 +159,7 @@ int exact_bench_json(const std::string& path) {
 
     // reset_peak between methods: the exact estimators release their arena
     // charges after each run, so the per-method high-water mark isolates
-    // that method's footprint for --mem-model calibration.
+    // that method's footprint for --cost-model calibration.
     auto& budget = util::MemoryBudget::process();
     core::LeakageEstimate serial, parallel, fft;
     budget.reset_peak();

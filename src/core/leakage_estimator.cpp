@@ -1,7 +1,6 @@
 #include "core/leakage_estimator.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/require.h"
 
@@ -9,40 +8,26 @@ namespace rgleak::core {
 
 namespace {
 
+// The rung a facade method enters the ladder at; kAuto enters at most at
+// linear.
 const char* rung_name(EstimationMethod m) {
   switch (m) {
-    case EstimationMethod::kLinear: return "linear";
     case EstimationMethod::kIntegralRect: return "integral_rect";
     case EstimationMethod::kIntegralPolar: return "integral_polar";
+    case EstimationMethod::kLinear:
     case EstimationMethod::kAuto: break;
   }
-  return "integral_polar";
+  return "linear";
 }
 
-std::string over_budget_note(const char* rung, double predicted_ms, double remaining_ms) {
-  std::ostringstream os;
-  os.precision(1);
-  os << std::fixed << rung << " predicted " << predicted_ms << " ms > budget " << remaining_ms
-     << " ms";
-  return os.str();
-}
-
-std::string cancelled_note(const char* rung) {
-  return std::string(rung) + " cancelled at deadline (cost misprediction)";
-}
-
-// A rung cancelled by the *budget deadline* degrades to the next rung; a rung
-// cancelled by an *external stop* (SIGINT, a batch shutdown forwarded through
-// the parent link) must propagate — the caller wants out, not a cheaper
-// answer.
-void rethrow_if_external(const util::RunControl& run) {
-  if (run.reason() == util::StopReason::kCancelled) throw;
-}
-
-// Appends `next` to a semicolon-joined degradation trail.
-void append_note(std::string* trail, const std::string& next) {
-  if (!trail->empty()) *trail += "; ";
-  *trail += next;
+// Runs one of the rungs that need no placement.
+LeakageEstimate estimate_unplaced(const std::string& rung, const RandomGate& rg,
+                                  const placement::Floorplan& fp, const util::RunControl* run) {
+  if (rung == "linear") return estimate_linear(rg, fp, run);
+  if (rung == "integral_rect") return estimate_integral_rect(rg, fp);
+  // integral_polar (which itself falls back to rect when its validity
+  // condition fails).
+  return estimate_integral_polar(rg, fp);
 }
 
 }  // namespace
@@ -88,127 +73,44 @@ LeakageEstimate LeakageEstimator::estimate(const DesignCharacteristics& design) 
     method = design.gate_count <= 10000 ? EstimationMethod::kLinear
                                         : EstimationMethod::kIntegralPolar;
 
-  LeakageEstimate e;
-  if (config_.time_budget_s > 0.0) {
-    e = estimate_budgeted(fp, rg, method);
-  } else {
-    switch (method) {
-      case EstimationMethod::kLinear:
-        e = estimate_linear(rg, fp, config_.run);
-        break;
-      case EstimationMethod::kIntegralRect:
-        e = estimate_integral_rect(rg, fp);
-        break;
-      case EstimationMethod::kIntegralPolar:
-      case EstimationMethod::kAuto:
-        e = estimate_integral_polar(rg, fp);
-        break;
-    }
-  }
+  LeakageEstimate e = config_.planner.walk(
+      rung_name(method), fp.num_sites(), config_.time_budget_s, config_.run,
+      [&](const std::string& rung, const util::RunControl* run) {
+        return estimate_unplaced(rung, rg, fp, run);
+      });
   if (config_.apply_vt_mean_factor)
     e.mean_na *= vt_mean_factor(chars_->process().vt(), chars_->library().tech());
   return e;
 }
 
-LeakageEstimate LeakageEstimator::estimate_budgeted(const placement::Floorplan& fp,
-                                                    const RandomGate& rg,
-                                                    EstimationMethod requested) const {
-  util::RunControl run;
-  run.set_parent(config_.run);
-  run.arm_budget(config_.time_budget_s);
-  const std::size_t sites = fp.num_sites();
-  const CostModel& costs = config_.cost_model;
-  std::string trail;
-
-  // Rung 1: the requested method, if the model says it fits what is left.
-  if (requested == EstimationMethod::kLinear) {
-    const char* rung = rung_name(requested);
-    const double predicted_ms = costs.predict_ms(rung, sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        LeakageEstimate e = estimate_linear(rg, fp, &run);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note(rung));
-      }
-    } else {
-      append_note(&trail, over_budget_note(rung, predicted_ms, remaining_ms));
-    }
-    requested = EstimationMethod::kIntegralPolar;
-  }
-
-  // Rung 2: the O(1) integral forms always answer, even past the deadline —
-  // the caller asked for *an* estimate, and these cost microseconds. Rect is
-  // honored when explicitly requested; otherwise polar (which itself falls
-  // back to rect when its validity condition fails).
-  LeakageEstimate e = requested == EstimationMethod::kIntegralRect
-                          ? estimate_integral_rect(rg, fp)
-                          : estimate_integral_polar(rg, fp);
-  e.degradation = trail;
-  return e;
+EstimationMethod retry_method(EstimationMethod requested, int degrade) {
+  if (degrade <= 0) return requested;
+  return Planner::retry_rung("linear", rung_name(requested), degrade) == "linear"
+             ? EstimationMethod::kLinear
+             : EstimationMethod::kIntegralPolar;
 }
 
-LeakageEstimate estimate_placed_budgeted(const ExactEstimator& exact, const RandomGate& rg,
-                                         const placement::Placement& placement, double budget_s,
-                                         const CostModel& costs, ExactOptions opts,
-                                         const util::RunControl* parent) {
-  RGLEAK_REQUIRE(budget_s > 0.0, "budgeted estimate needs a positive time budget");
-  util::RunControl run;
-  run.set_parent(parent);
-  run.arm_budget(budget_s);
-  const placement::Floorplan& fp = placement.floorplan();
-  const std::size_t sites = fp.num_sites();
-  std::string trail;
-
-  // Rung 1: exact pairwise analysis (eq. 14/15).
-  ExactMethod method = opts.method;
+std::string exact_rung(ExactMethod method, std::size_t sites) {
   if (method == ExactMethod::kAuto)
     method = sites >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
-  const char* exact_rung = method == ExactMethod::kFft ? "exact_fft" : "exact_direct";
-  {
-    const double predicted_ms = costs.predict_ms(exact_rung, sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        opts.run = &run;
-        LeakageEstimate e = exact.estimate(placement, opts);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note(exact_rung));
-      }
-    } else {
-      append_note(&trail, over_budget_note(exact_rung, predicted_ms, remaining_ms));
-    }
-  }
+  return method == ExactMethod::kFft ? "exact_fft" : "exact_direct";
+}
 
-  // Rung 2: distance histogram (eq. 17).
-  {
-    const double predicted_ms = costs.predict_ms("linear", sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        LeakageEstimate e = estimate_linear(rg, fp, &run);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note("linear"));
-      }
-    } else {
-      append_note(&trail, over_budget_note("linear", predicted_ms, remaining_ms));
-    }
-  }
-
-  // Rung 3: the O(1) integral (eqs. 25/26, rect fallback inside) always
-  // answers.
-  LeakageEstimate e = estimate_integral_polar(rg, fp);
-  e.degradation = trail;
-  return e;
+LeakageEstimate estimate_placed(const ExactEstimator& exact, const RandomGate& rg,
+                                const placement::Placement& placement, double budget_s,
+                                const Planner& planner, ExactOptions opts,
+                                const util::RunControl* parent, std::string rung) {
+  const placement::Floorplan& fp = placement.floorplan();
+  if (rung.empty()) rung = exact_rung(opts.method, fp.num_sites());
+  return planner.walk(rung, fp.num_sites(), budget_s, parent,
+                      [&](const std::string& r, const util::RunControl* run) {
+                        if (r != "exact_fft" && r != "exact_direct")
+                          return estimate_unplaced(r, rg, fp, run);
+                        ExactOptions o = opts;
+                        o.method = r == "exact_fft" ? ExactMethod::kFft : ExactMethod::kDirect;
+                        o.run = run;
+                        return exact.estimate(placement, o);
+                      });
 }
 
 }  // namespace rgleak::core

@@ -7,10 +7,11 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 
 #include "core/estimate.h"
 #include "core/estimators.h"
-#include "core/method_cost.h"
+#include "core/planner.h"
 #include "core/random_gate.h"
 #include "core/signal_probability.h"
 #include "util/run_control.h"
@@ -45,14 +46,14 @@ struct EstimatorConfig {
   bool apply_vt_mean_factor = true;
   /// Wall-clock budget for one estimate() call, seconds; 0 = unlimited. With
   /// a budget set, the estimator walks the accuracy ladder downward
-  /// (linear, eq. 17 → integral, eqs. 20/25) whenever `cost_model` predicts
+  /// (linear, eq. 17 → integral, eqs. 20/25) whenever `planner` predicts
   /// the requested rung would blow the budget — and a mispredicted rung is
   /// cancelled by the armed deadline and answered by the next one. The
   /// result records the rung that answered and why it degraded.
   double time_budget_s = 0.0;
-  /// Cost models behind the budget decisions; calibrate from a bench record
-  /// via CostModel::from_bench_json to pin them to the host.
-  CostModel cost_model = CostModel::defaults();
+  /// Predicts each rung's cost and holds the memory budget (Planner::walk);
+  /// Planner::from_bench_json pins its predictions to the host.
+  Planner planner;
   /// External stop source (SIGINT handler, batch watchdog): polled by the
   /// linear rung, and linked as the parent of the budgeted path's internal
   /// deadline, so an outer cancellation stops an estimate mid-rung.
@@ -82,24 +83,27 @@ class LeakageEstimator {
  private:
   const charlib::CharacterizedLibrary* chars_;
   EstimatorConfig config_;
-
-  LeakageEstimate estimate_budgeted(const placement::Floorplan& fp, const RandomGate& rg,
-                                    EstimationMethod requested) const;
 };
 
-/// Budgeted estimate of a *placed* design: the full degradation ladder of the
-/// paper. Runs the exact pairwise analysis (eq. 14/15, FFT or direct per
-/// `opts`) when the cost model predicts it fits `budget_s`, else falls back
-/// to the distance histogram (eq. 17), else to the integral forms
-/// (eqs. 20/25). A rung that overruns its prediction is cancelled by the
-/// armed deadline and the next rung answers; the last rung (O(1) integral)
-/// always answers. The result names the rung and the degradation reason.
-/// `parent`, when given, is linked as the parent of the ladder's internal
-/// deadline control, so an external stop (SIGINT, a batch watchdog) cancels
-/// the running rung; the ladder still answers with the O(1) integral.
-LeakageEstimate estimate_placed_budgeted(const ExactEstimator& exact, const RandomGate& rg,
-                                         const placement::Placement& placement, double budget_s,
-                                         const CostModel& costs, ExactOptions opts = {},
-                                         const util::RunControl* parent = nullptr);
+/// Entry method of retry attempt `degrade` for a facade request: the
+/// Planner::retry_rung below linear, the facade's most expensive rung (so
+/// every retry answers from the O(1) integral).
+EstimationMethod retry_method(EstimationMethod requested, int degrade);
+
+/// The ladder rung an exact request runs at on `sites` sites ("exact_fft" or
+/// "exact_direct"; kAuto picks the FFT from 64 sites, as ExactEstimator does).
+std::string exact_rung(ExactMethod method, std::size_t sites);
+
+/// Estimate of a *placed* design down the full ladder of the paper
+/// (Planner::walk): exact pairwise analysis (eq. 14/15, run with `opts`),
+/// distance histogram (eq. 17), integral forms (eqs. 20/25). The walk enters
+/// at `rung`, by default the exact rung `opts` asks for; `budget_s` is its
+/// time budget (<= 0: none) and `parent` an external stop linked to the
+/// walk's deadline (SIGINT, a batch watchdog). The result names the rung
+/// that answered and the degradation trail.
+LeakageEstimate estimate_placed(const ExactEstimator& exact, const RandomGate& rg,
+                                const placement::Placement& placement, double budget_s,
+                                const Planner& planner, ExactOptions opts = {},
+                                const util::RunControl* parent = nullptr, std::string rung = {});
 
 }  // namespace rgleak::core

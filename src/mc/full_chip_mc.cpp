@@ -11,7 +11,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/memory_cost.h"
+#include "core/planner.h"
 #include "mc/checkpoint.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
@@ -394,9 +394,9 @@ FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
   // take it, the job fails typed here instead of OOM-killing the process.
   RGLEAK_FAILPOINT("mc.workspace.alloc");
   const util::MemoryReservation arena(
-      threads * core::MemoryCostModel::mc_worker_bytes(field_.padded_rows(), field_.padded_cols(),
-                                                       field_.rows(), field_.cols(),
-                                                       placement_->netlist().size()) +
+      threads * core::Planner::mc_worker_bytes(field_.padded_rows(), field_.padded_cols(),
+                                               field_.rows(), field_.cols(),
+                                               placement_->netlist().size()) +
           std::uint64_t{options_.trials} * sizeof(double),
       "mc.workspace");
 

@@ -19,8 +19,9 @@ struct JobOutput {
   double sigma_na = 0.0;
   /// Estimator rung / engine that answered ("exact_fft", "linear", "mc", ...).
   std::string method;
-  /// Non-empty when the job did not run as requested: the admission /
-  /// retry ladder walk that was applied (e.g. "mem: exact_fft->linear").
+  /// Non-empty when the job did not run as requested: the planner's walk
+  /// down the ladder, memory and time notes "; "-joined (e.g.
+  /// "mem: exact_fft->linear; linear predicted 8.1 ms > budget 0.0 ms").
   /// Journaled with the record.
   std::string degradation;
 };

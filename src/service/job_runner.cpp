@@ -7,7 +7,6 @@
 #include "charlib/io.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/method_cost.h"
 #include "core/random_gate.h"
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"
@@ -129,6 +128,7 @@ JobOutput output_of(const core::LeakageEstimate& e) {
   out.mean_na = e.mean_na;
   out.sigma_na = e.sigma_na;
   out.method = e.method.empty() ? "unknown" : e.method;
+  out.degradation = e.degradation;
   if (!std::isfinite(out.mean_na) || !std::isfinite(out.sigma_na))
     throw NumericalError("estimate produced a non-finite result (mean " +
                          std::to_string(out.mean_na) + ", sigma " + std::to_string(out.sigma_na) +
@@ -196,24 +196,8 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
   else if (method == "rect") cfg.method = core::EstimationMethod::kIntegralRect;
   else if (method == "polar") cfg.method = core::EstimationMethod::kIntegralPolar;
   else throw ConfigError("job '" + job.id + "': unknown method '" + method + "'");
-  // Retry degradation: after a retryable failure, answer from the O(1)
-  // integral rung instead of re-running the rung that failed.
-  if (degrade >= 1) cfg.method = core::EstimationMethod::kIntegralPolar;
-
-  std::string degradation;
-  if (governor_ != nullptr) {
-    // Admission sees the most expensive rung this job could occupy: auto
-    // resolves to at most the linear rung on this path.
-    std::string requested = "linear";
-    if (cfg.method == core::EstimationMethod::kIntegralRect) requested = "integral_rect";
-    if (cfg.method == core::EstimationMethod::kIntegralPolar) requested = "integral_polar";
-    const placement::Floorplan fp = placement::Floorplan::for_gate_count(d.gate_count);
-    const Admission adm = admit_estimate(*governor_, fp.rows * fp.cols, requested);
-    if (!adm.degradation.empty()) {
-      if (adm.method == "integral_polar") cfg.method = core::EstimationMethod::kIntegralPolar;
-      degradation = adm.degradation;
-    }
-  }
+  cfg.method = core::retry_method(cfg.method, degrade);
+  cfg.planner = planner_;
 
   const std::string p = param(job, "p", "max");
   if (p == "max") {
@@ -225,9 +209,7 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
 
   const PhaseScope phase("phase.estimate", "estimate", job);
   const core::LeakageEstimator estimator(chars, cfg);
-  JobOutput out = output_of(estimator.estimate(d));
-  out.degradation = degradation;
-  return out;
+  return output_of(estimator.estimate(d));
 }
 
 JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* watchdog,
@@ -257,45 +239,15 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
   else if (method == "fft") opts.method = core::ExactMethod::kFft;
   else throw ConfigError("job '" + job.id + "': unknown exact_method '" + method + "'");
 
-  // The cost ladder: retry degradation picks the requested rung (one down per
-  // retryable failure), then memory admission may walk further down still.
-  // Auto is admitted at the FFT rung — the most memory it could occupy.
-  std::string requested;
-  if (degrade >= 2) requested = "integral_polar";
-  else if (degrade >= 1 || (!want_exact && budget_s <= 0.0)) requested = "linear";
-  else requested = opts.method == core::ExactMethod::kDirect ? "exact_direct" : "exact_fft";
-
-  std::string admitted = requested;
-  std::string degradation;
-  if (governor_ != nullptr) {
-    const Admission adm =
-        admit_estimate(*governor_, static_cast<std::size_t>(fp.rows) * fp.cols, requested);
-    admitted = adm.method;
-    degradation = adm.degradation;
-  }
+  // A job that asks for no exact answer and no budget runs eq. (17).
+  std::string rung = want_exact || budget_s > 0.0 ? core::exact_rung(opts.method, fp.num_sites())
+                                                  : "linear";
+  rung = core::Planner::retry_rung("exact_fft", rung, degrade);
 
   const PhaseScope phase("phase.estimate", "estimate", job);
-  JobOutput out;
-  if (admitted == "integral_polar") {
-    out = output_of(core::estimate_integral_polar(rg, fp));
-  } else if (admitted == "linear") {
-    out = output_of(core::estimate_linear(rg, fp, watchdog));
-  } else {
-    if (admitted == "exact_direct" && requested == "exact_fft")
-      opts.method = core::ExactMethod::kDirect;
-    const placement::Placement pl(&nl, fp);
-    const core::ExactEstimator exact(chars, p, mode);
-    if (budget_s > 0.0) {
-      const core::CostModel costs = core::CostModel::defaults();
-      out = output_of(
-          core::estimate_placed_budgeted(exact, rg, pl, budget_s, costs, opts, watchdog));
-    } else {
-      opts.run = watchdog;
-      out = output_of(exact.estimate(pl, opts));
-    }
-  }
-  out.degradation = degradation;
-  return out;
+  const placement::Placement pl(&nl, fp);
+  const core::ExactEstimator exact(chars, p, mode);
+  return output_of(core::estimate_placed(exact, rg, pl, budget_s, planner_, opts, watchdog, rung));
 }
 
 JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog) {
@@ -317,13 +269,8 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
   opts.resample_states_per_trial = bool_param(job, "resample", false);
   opts.run = watchdog;
 
-  std::string degradation;
-  if (governor_ != nullptr) {
-    const Admission adm = admit_mc(
-        *governor_, static_cast<std::size_t>(fp.rows) * fp.cols, opts.threads);
-    opts.threads = adm.threads;
-    degradation = adm.degradation;
-  }
+  const core::Admission adm = core::admit_mc(planner_, fp.num_sites(), opts.threads);
+  opts.threads = adm.threads;
 
   const PhaseScope phase("phase.estimate", "estimate", job);
   mc::FullChipMonteCarlo engine(pl, chars, opts);
@@ -332,7 +279,7 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
   out.mean_na = r.mean_na;
   out.sigma_na = r.sigma_na;
   out.method = "mc";
-  out.degradation = degradation;
+  out.degradation = adm.degradation;
   if (!std::isfinite(out.mean_na) || !std::isfinite(out.sigma_na))
     throw NumericalError("mc produced a non-finite result");
   return out;

@@ -20,9 +20,15 @@
 // watchdog is threaded into every engine (estimator run controls, MC worker
 // polls, characterizer polls), so a wedged job cancels within one chunk.
 //
-// Retry degradation: on each retryable failure the estimate/netlist kinds
-// walk one rung down the PR-3 cost ladder (exact -> linear -> integral), so
-// a job that NaN'd or blew its deadline at an expensive rung retries at a
+// Cost planning: estimate and netlist jobs run through the runner's
+// core::Planner walk, which takes the first rung that fits both the batch
+// memory budget and what is left of the job's time_budget_s; its trail is
+// journaled as JobOutput::degradation. mc jobs halve their worker count
+// until it fits the memory budget.
+//
+// Retry degradation: each retryable failure enters the estimate/netlist
+// kinds one step lower on exact -> linear -> integral (Planner::retry_rung),
+// so a job that NaN'd or blew its deadline at an expensive rung retries at a
 // cheaper one instead of failing the same way again. mc and characterize
 // re-run unchanged (their failures are draw- or io-transient).
 //
@@ -36,8 +42,8 @@
 
 #include "cells/library.h"
 #include "charlib/characterize.h"
+#include "core/planner.h"
 #include "netlist/netlist.h"
-#include "service/admission.h"
 #include "service/executor.h"
 
 namespace rgleak::service {
@@ -46,18 +52,16 @@ class JobRunner : public Executor {
  public:
   explicit JobRunner(const cells::StdCellLibrary& library) : library_(&library) {}
 
-  /// Installs memory admission control. `gov` must outlive the runner; pass
-  /// nullptr (the default state) to run every job exactly as requested.
-  /// Admitted jobs that ran below their requested rung report the walk in
-  /// JobOutput::degradation.
-  void set_governor(const ResourceGovernor* gov) { governor_ = gov; }
+  /// Replaces the cost planner (default: built-in predictions, no memory
+  /// budget, so every job without a time budget runs exactly as requested).
+  void set_planner(const core::Planner& planner) { planner_ = planner; }
 
   JobOutput execute(const JobSpec& job, const util::RunControl* watchdog,
                     int degrade) override;
 
  private:
   const cells::StdCellLibrary* library_;
-  const ResourceGovernor* governor_ = nullptr;
+  core::Planner planner_;
 
   std::mutex cache_mutex_;
   std::map<std::string, charlib::CharacterizedLibrary> chars_cache_;

@@ -110,10 +110,10 @@ BatchOptions gov_options() {
 std::map<std::string, JobRecord> run_governed(const std::vector<JobSpec>& jobs,
                                               std::uint64_t budget, BatchSummary* out_summary) {
   MemoryBudget::process().set_limit(budget);
-  ResourceGovernor gov;
+  core::Planner gov;
   gov.mem_budget_bytes = budget;
   JobRunner runner(mini_library());
-  runner.set_governor(&gov);
+  runner.set_planner(gov);
   Journal journal = Journal::open("");
   const BatchSummary s = run_batch(jobs, runner, journal, gov_options());
   if (out_summary != nullptr) *out_summary = s;

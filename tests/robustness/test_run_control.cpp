@@ -13,7 +13,7 @@
 #include "../test_util.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/method_cost.h"
+#include "core/planner.h"
 #include "core/random_gate.h"
 #include "netlist/random_circuit.h"
 #include "placement/placement.h"
@@ -105,8 +105,8 @@ TEST(RunControl, BudgetedEstimatorDegradesWhenCostModelSaysTooSlow) {
 
   // Generous budget: the exact rung fits and answers; no degradation.
   {
-    const core::LeakageEstimate e = core::estimate_placed_budgeted(
-        exact, rg, pl, 60.0, core::CostModel::defaults());
+    const core::LeakageEstimate e = core::estimate_placed(
+        exact, rg, pl, 60.0, core::Planner());
     EXPECT_TRUE(e.method == "exact_fft" || e.method == "exact_direct") << e.method;
     EXPECT_TRUE(e.degradation.empty()) << e.degradation;
   }
@@ -114,8 +114,8 @@ TEST(RunControl, BudgetedEstimatorDegradesWhenCostModelSaysTooSlow) {
   // Microscopic budget: every predicted rung is over budget, so the O(1)
   // integral answers and the trail names each skipped rung.
   {
-    const core::LeakageEstimate e = core::estimate_placed_budgeted(
-        exact, rg, pl, 1e-7, core::CostModel::defaults());
+    const core::LeakageEstimate e = core::estimate_placed(
+        exact, rg, pl, 1e-7, core::Planner());
     EXPECT_TRUE(e.method == "integral_polar" || e.method == "integral_rect") << e.method;
     EXPECT_NE(e.degradation.find("predicted"), std::string::npos) << e.degradation;
     EXPECT_NE(e.degradation.find("linear"), std::string::npos) << e.degradation;
@@ -138,13 +138,13 @@ TEST(RunControl, MispredictedRungIsCancelledAtDeadlineAndNextRungAnswers) {
   const core::RandomGate rg(mini_chars_analytic(), test_usage(), 0.5,
                             core::CorrelationMode::kAnalytic);
 
-  core::CostModel lying = core::CostModel::defaults();
-  lying.calibrate("fft", rows * cols, 1e-12);
-  lying.calibrate("linear", rows * cols, 1e-12);
+  core::Planner lying;
+  lying.calibrate_ms("fft", rows * cols, 1e-12);
+  lying.calibrate_ms("linear", rows * cols, 1e-12);
   // Delay every trial of the exact path so the 1 ms budget expires inside it.
   const ScopedFailpoint fp("thread_pool.task", FailpointAction::kDelay, SIZE_MAX, 2);
   const core::LeakageEstimate e =
-      core::estimate_placed_budgeted(exact, rg, pl, 1e-3, lying);
+      core::estimate_placed(exact, rg, pl, 1e-3, lying);
   EXPECT_TRUE(e.method == "integral_polar" || e.method == "integral_rect") << e.method;
   EXPECT_NE(e.degradation.find("cancelled at deadline"), std::string::npos) << e.degradation;
 }

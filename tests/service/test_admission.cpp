@@ -1,24 +1,40 @@
 // Memory admission: ladder walks, MC worker tiling, floor rejections.
 //
-// Uses the default MemoryCostModel coefficients, which at 1024 sites order
+// Uses the default core::Planner coefficients, which at 1024 sites order
 // the rungs exact_fft (8 MiB) > exact_direct (256 KiB) > linear (64 KiB) >
 // integral_polar (32 KiB) — each budget below picks out one boundary.
 
 #include <gtest/gtest.h>
 
-#include "core/memory_cost.h"
-#include "service/admission.h"
+#include <fstream>
+
+#include "core/planner.h"
 #include "util/error.h"
 
-namespace rgleak::service {
+namespace rgleak::core {
 namespace {
 
 constexpr std::size_t kSites = 1024;
 
-ResourceGovernor governor(std::uint64_t budget) {
-  ResourceGovernor gov;
+Planner governor(std::uint64_t budget) {
+  Planner gov;
   gov.mem_budget_bytes = budget;
   return gov;
+}
+
+// Memory admission: the rung an untimed walk would run, found with rungs
+// that only report their name.
+Admission admit_estimate(const Planner& planner, std::size_t sites, const std::string& method) {
+  const auto name_only = [](const std::string& rung, const util::RunControl*) {
+    LeakageEstimate named;
+    named.method = rung;
+    return named;
+  };
+  const LeakageEstimate e = planner.walk(method, sites, 0.0, nullptr, name_only);
+  Admission adm;
+  adm.method = e.method;
+  adm.degradation = e.degradation;
+  return adm;
 }
 
 TEST(AdmitEstimate, UnlimitedBudgetRunsAsRequested) {
@@ -78,8 +94,8 @@ TEST(AdmitEstimate, OffLadderMethodIsCheckFitOnly) {
 TEST(AdmitEstimate, CalibratedModelTightensAdmission) {
   // A calibration observation 4x the default makes the FFT rung too big for
   // a budget the default model would have admitted.
-  ResourceGovernor gov = governor(16u << 20);
-  gov.memory.calibrate("fft", kSites, 64ull << 20);  // bench name maps to exact_fft
+  Planner gov = governor(16u << 20);
+  gov.calibrate_bytes("fft", kSites, 64ull << 20);  // bench name maps to exact_fft
   const Admission adm = admit_estimate(gov, kSites, "exact_fft");
   EXPECT_EQ(adm.method, "exact_direct");
 }
@@ -120,20 +136,46 @@ TEST(AdmitMc, SingleWorkerMissIsTypedRejection) {
   }
 }
 
-TEST(MemoryCostModel, StructuralFormulasAreMonotonicInProblemSize) {
-  using core::MemoryCostModel;
-  EXPECT_LT(MemoryCostModel::exact_direct_bytes(100, 10, 10),
-            MemoryCostModel::exact_direct_bytes(1000, 32, 32));
-  EXPECT_LT(MemoryCostModel::exact_fft_bytes(8, 8, 2), MemoryCostModel::exact_fft_bytes(32, 32, 2));
-  EXPECT_LT(MemoryCostModel::mc_worker_bytes(16, 16, 8, 8, 100),
-            MemoryCostModel::mc_worker_bytes(64, 64, 32, 32, 1000));
+TEST(PlannerMemory, StructuralFormulasAreMonotonicInProblemSize) {
+  EXPECT_LT(Planner::exact_direct_bytes(100, 10, 10), Planner::exact_direct_bytes(1000, 32, 32));
+  EXPECT_LT(Planner::exact_fft_bytes(8, 8, 2), Planner::exact_fft_bytes(32, 32, 2));
+  EXPECT_LT(Planner::mc_worker_bytes(16, 16, 8, 8, 100),
+            Planner::mc_worker_bytes(64, 64, 32, 32, 1000));
 }
 
-TEST(MemoryCostModel, UnknownMethodPredictsUnaffordable) {
-  const core::MemoryCostModel m = core::MemoryCostModel::defaults();
+TEST(PlannerCalibration, OneBenchRecordCalibratesTimeAndMemory) {
+  // The shape bench_scaling --exact-json writes: every record carries both a
+  // wall time and a charged peak, and the serial row is a baseline.
+  const std::string path = std::string(::testing::TempDir()) + "rgleak_planner_bench.json";
+  {
+    std::ofstream os(path);
+    os << "{\n  \"bench\": \"exact_estimator\",\n  \"records\": [\n"
+       << "    {\"sites\": 1024, \"method\": \"direct_serial\", \"wall_ms\": 9000.0, "
+          "\"peak_rss_kb\": 4788, \"budget_peak_bytes\": 1},\n"
+       << "    {\"sites\": 1024, \"method\": \"fft\", \"wall_ms\": 1000.0, "
+          "\"peak_rss_kb\": 4788, \"budget_peak_bytes\": 67108864}\n  ]\n}\n";
+  }
+  const Planner calibrated = Planner::from_bench_json(path);
+  const Planner defaults;
+  EXPECT_NEAR(calibrated.predict_ms("exact_fft", kSites), 1000.0, 1e-6);
+  EXPECT_EQ(calibrated.predict_bytes("exact_fft", kSites), 64ull << 20);
+  EXPECT_EQ(calibrated.predict_ms("exact_direct", kSites),
+            defaults.predict_ms("exact_direct", kSites));
+  EXPECT_EQ(calibrated.predict_bytes("exact_direct", kSites),
+            defaults.predict_bytes("exact_direct", kSites));
+
+  {
+    std::ofstream os(path);
+    os << "{\"records\": [{\"method\": \"fft\", \"wall_ms\": 1.0}]}\n";
+  }
+  EXPECT_THROW(Planner::from_bench_json(path), ParseError) << "a record without sites";
+}
+
+TEST(PlannerMemory, UnknownMethodPredictsUnaffordable) {
+  const Planner m;
   EXPECT_EQ(m.predict_bytes("no_such_method", kSites),
             std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace
-}  // namespace rgleak::service
+}  // namespace rgleak::core

@@ -37,8 +37,7 @@
 #include "charlib/liberty_writer.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/memory_cost.h"
-#include "core/method_cost.h"
+#include "core/planner.h"
 #include "core/sensitivity.h"
 #include "core/yield.h"
 #include "mc/full_chip_mc.h"
@@ -90,7 +89,7 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "               [--retry-budget N] [--queue-depth N]\n"
                "               [--shed-policy block|reject-new|drop-oldest]\n"
                "               [--job-deadline SECONDS] [--stall-timeout SECONDS]\n"
-               "               [--mem-budget auto|none|SIZE] [--mem-model BENCH.json]\n"
+               "               [--mem-budget auto|none|SIZE] [--cost-model BENCH.json]\n"
                "               [--jitter-seed S] [--isolate in-process|process]\n"
                "               [--isolate-grace SECONDS]\n"
                "  rgleak gen-netlist --out FILE --gates N --usage SPEC [--seed S]\n"
@@ -367,6 +366,13 @@ int cmd_estimate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// `--cost-model BENCH.json` calibrates the planner's time and memory
+// predictions from a bench record; without it the built-in ones apply.
+core::Planner load_planner(const std::map<std::string, std::string>& flags) {
+  return has_flag(flags, "cost-model") ? core::Planner::from_bench_json(flag(flags, "cost-model"))
+                                       : core::Planner();
+}
+
 int cmd_netlist(const std::map<std::string, std::string>& flags) {
   // Validate before the file loads: a malformed --time-budget is a usage
   // error even when the inputs are missing or slow to parse.
@@ -415,18 +421,15 @@ int cmd_netlist(const std::map<std::string, std::string>& flags) {
 
   if (has_flag(flags, "time-budget")) {
     // Budgeted ladder: exact -> linear -> integral, degrading whenever the
-    // cost model predicts the next rung would blow the remaining budget.
+    // planner predicts the next rung would blow the remaining budget.
     const double budget_s = parse_double(flag(flags, "time-budget"), "--time-budget");
     if (budget_s <= 0.0) usage_exit("--time-budget must be positive");
-    const core::CostModel costs = has_flag(flags, "cost-model")
-                                      ? core::CostModel::from_bench_json(flag(flags, "cost-model"))
-                                      : core::CostModel::defaults();
     core::ExactOptions opts;
     opts.threads = parse_count(flag(flags, "threads", "0"), "--threads");
     const placement::Placement pl(&nl, fp);
     const core::ExactEstimator exact(chars, 0.5, mode);
     const core::LeakageEstimate e =
-        core::estimate_placed_budgeted(exact, rg, pl, budget_s, costs, opts, &g_run);
+        core::estimate_placed(exact, rg, pl, budget_s, load_planner(flags), opts, &g_run);
     std::printf("budgeted (%.3gs): mean %.4f uA, sigma %.4f uA [method %s]\n", budget_s,
                 e.mean_na * 1e-3, e.sigma_na * 1e-3, e.method.c_str());
     if (!e.degradation.empty()) std::printf("degraded     : %s\n", e.degradation.c_str());
@@ -545,13 +548,11 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   if (mem_spec == "auto") mem_budget = util::detect_memory_limit();
   else if (mem_spec != "none") mem_budget = util::parse_memory_size(mem_spec);
   util::MemoryBudget::process().set_limit(mem_budget);
-  service::ResourceGovernor governor;
-  governor.mem_budget_bytes = mem_budget;
-  if (has_flag(flags, "mem-model"))
-    governor.memory = core::MemoryCostModel::from_bench_json(flag(flags, "mem-model"));
+  core::Planner planner = load_planner(flags);
+  planner.mem_budget_bytes = mem_budget;
 
   service::JobRunner runner(lib);
-  runner.set_governor(&governor);
+  runner.set_planner(planner);
   const service::BatchSummary s = [&] {
     // Scoped so the printer joins (and stops writing to stderr) before the
     // summary block below.

@@ -1,0 +1,275 @@
+// Cell characterization performance: device network solves and whole-library
+// characterization (analytic and MC mode) over a 1/2/4-thread sweep.
+//
+//   bench_characterize [--json PATH] [--reps N]   full record, written to
+//                                                 BENCH_characterize.json
+//   bench_characterize --smoke                    CI guard (a few seconds)
+//
+// The full run times:
+//  * µs per solve: one Cell::leakage_na over the analytic characterizer's
+//    whole (cell, state, fit length) grid of the virtual 90 nm library,
+//    serial, repeated N times;
+//  * ms per library: characterize_analytic and characterize_monte_carlo
+//    (default options) on pools of 1, 2 and 4 threads, N repetitions each.
+// Each row reports min, median and interquartile range over the
+// repetitions, and the record carries the CPU count, compiler and build type.
+//
+// --smoke characterizes the full library analytically and a reduced-sample
+// MC library on pools of 1 and 4 threads, fails unless the results are
+// bit-identical, and fails unless 4 threads are >= 1.5x faster than 1 thread
+// (best of 3) when the machine has >= 2 CPUs. On 1 CPU it skips the speed-up
+// check and says so.
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "bench_util.h"
+#include "charlib/characterize.h"
+#include "util/thread_pool.h"
+
+#ifndef RGLEAK_BUILD_TYPE
+#define RGLEAK_BUILD_TYPE "unknown"
+#endif
+#if defined(__clang__)
+#define RGLEAK_COMPILER "clang " __clang_version__
+#elif defined(__GNUC__)
+#define RGLEAK_COMPILER "gcc " __VERSION__
+#else
+#define RGLEAK_COMPILER "unknown"
+#endif
+
+namespace rgleak {
+namespace {
+
+double now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+unsigned cpu_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+struct Summary {
+  double min = 0.0, median = 0.0, iqr = 0.0;
+};
+
+// Linear-interpolated quantile of a sorted sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  return i + 1 < sorted.size() ? sorted[i] + frac * (sorted[i + 1] - sorted[i]) : sorted[i];
+}
+
+Summary summarize(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return {xs.front(), quantile(xs, 0.5), quantile(xs, 0.75) - quantile(xs, 0.25)};
+}
+
+std::vector<double> time_reps(int reps, const std::function<void()>& fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = now_ms();
+    fn();
+    ms.push_back(now_ms() - t0);
+  }
+  return ms;
+}
+
+// Every leakage solve of the analytic characterizer's fit grid; returns the
+// number of solves.
+std::size_t solve_grid(const cells::StdCellLibrary& lib, const process::ProcessVariation& proc) {
+  const charlib::AnalyticCharOptions opts;
+  const double mu = proc.length().mean_nm;
+  const double sigma = proc.length().sigma_total_nm();
+  const double lo = std::max(mu - opts.fit_span_sigma * sigma, 1.0);
+  const double hi = mu + opts.fit_span_sigma * sigma;
+  std::size_t solves = 0;
+  double sink = 0.0;
+  for (const cells::Cell& cell : lib.cells()) {
+    for (std::uint32_t s = 0; s < cell.num_states(); ++s) {
+      for (std::size_t i = 0; i < opts.fit_points; ++i) {
+        sink += cell.leakage_na(s, lo + (hi - lo) * static_cast<double>(i) /
+                                            static_cast<double>(opts.fit_points - 1),
+                                lib.tech());
+        ++solves;
+      }
+    }
+  }
+  if (!(sink > 0.0)) std::fprintf(stderr, "solve grid returned no leakage\n");
+  return solves;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// True when the two libraries hold bit-identical statistics and models.
+bool identical(const charlib::CharacterizedLibrary& a, const charlib::CharacterizedLibrary& b) {
+  for (std::size_t ci = 0; ci < a.size(); ++ci) {
+    const auto& sa = a.cell(ci).states;
+    const auto& sb = b.cell(ci).states;
+    if (sa.size() != sb.size()) return false;
+    for (std::size_t s = 0; s < sa.size(); ++s) {
+      if (!same_bits(sa[s].mean_na, sb[s].mean_na) || !same_bits(sa[s].sigma_na, sb[s].sigma_na))
+        return false;
+      if (sa[s].model.has_value() != sb[s].model.has_value()) return false;
+      if (sa[s].model && (!same_bits(sa[s].model->a, sb[s].model->a) ||
+                          !same_bits(sa[s].model->b, sb[s].model->b) ||
+                          !same_bits(sa[s].model->c, sb[s].model->c)))
+        return false;
+    }
+  }
+  return true;
+}
+
+charlib::CharacterizedLibrary analytic(util::ThreadPool& pool) {
+  charlib::AnalyticCharOptions opts;
+  opts.pool = &pool;
+  return charlib::characterize_analytic(bench::library(), bench::bench_process(), opts);
+}
+
+charlib::CharacterizedLibrary monte_carlo(util::ThreadPool& pool, std::size_t samples) {
+  charlib::McCharOptions opts;
+  opts.pool = &pool;
+  opts.samples = samples;
+  return charlib::characterize_monte_carlo(bench::library(), bench::bench_process(), opts);
+}
+
+int run_smoke() {
+  // Compare 1 thread with one per CPU (2 to 4), so the threaded run is never
+  // oversubscribed; the 1.5x bound is 75% of ideal scaling on 2 CPUs.
+  const unsigned cpus = cpu_count();
+  const std::size_t wide = std::min(4u, std::max(cpus, 2u));
+  util::ThreadPool one(1), many(wide);
+  const std::size_t mc_samples = 2000;
+  const bool same = identical(analytic(one), analytic(many)) &&
+                    identical(monte_carlo(one, mc_samples), monte_carlo(many, mc_samples));
+  std::printf("smoke: 1- and %zu-thread libraries (analytic + MC) bit-identical: %s\n", wide,
+              same ? "yes" : "NO");
+  if (!same) {
+    std::fprintf(stderr, "smoke FAIL: characterization depends on the thread count\n");
+    return 1;
+  }
+  double serial = 1e300, threaded = 1e300;
+  for (int r = 0; r < 5; ++r) {
+    serial = std::min(serial, time_reps(1, [&] { analytic(one); }).front());
+    threaded = std::min(threaded, time_reps(1, [&] { analytic(many); }).front());
+  }
+  const double speedup = serial / threaded;
+  std::printf("smoke: analytic library %.1f ms serial, %.1f ms on %zu threads (%.2fx), cpus %u\n",
+              serial, threaded, wide, speedup, cpus);
+  if (cpus < 2) {
+    std::printf("smoke: SKIPPED the threaded speed-up check (1 CPU)\n");
+    return 0;
+  }
+  if (speedup < 1.5) {
+    std::fprintf(stderr,
+                 "smoke FAIL: %zu threads only %.2fx faster than 1 (need >= 1.5x, %u CPUs)\n",
+                 wide, speedup, cpus);
+    return 1;
+  }
+  std::printf("smoke: PASS\n");
+  return 0;
+}
+
+struct Row {
+  std::string name;
+  std::size_t threads;
+  std::string unit;
+  Summary s;
+};
+
+int run_full(const std::string& json_path, int reps) {
+  bench::banner("Cell characterization: device solves and library characterization",
+                "section 2.1");
+  const cells::StdCellLibrary& lib = bench::library();
+  const process::ProcessVariation proc = bench::bench_process();
+  std::vector<Row> rows;
+
+  std::size_t solves = 0;
+  std::vector<double> grid_ms = time_reps(reps, [&] { solves = solve_grid(lib, proc); });
+  std::vector<double> us_per_solve;
+  for (double ms : grid_ms) us_per_solve.push_back(ms * 1e3 / static_cast<double>(solves));
+  rows.push_back({"solve_us", 1, "us", summarize(us_per_solve)});
+
+  // One characterization per repetition on each pool size, each checked
+  // against the 1-thread result outside the timed region.
+  bool same = true;
+  const auto sweep = [&](const char* name, const auto& characterize) {
+    const charlib::CharacterizedLibrary ref = characterize(util::ThreadPool::shared(1));
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      util::ThreadPool& pool = util::ThreadPool::shared(threads);
+      std::vector<double> ms;
+      for (int r = 0; r < reps; ++r) {
+        const double t0 = now_ms();
+        const charlib::CharacterizedLibrary got = characterize(pool);
+        ms.push_back(now_ms() - t0);
+        same = same && identical(got, ref);
+      }
+      rows.push_back({name, threads, "ms", summarize(ms)});
+    }
+  };
+  sweep("analytic_library_ms", [](util::ThreadPool& pool) { return analytic(pool); });
+  sweep("mc_library_ms", [](util::ThreadPool& pool) { return monte_carlo(pool, 20000); });
+
+  std::printf("%zu solves per grid (%zu cells), %d repetitions, %u CPUs\n", solves, lib.size(),
+              reps, cpu_count());
+  std::printf("%-22s %7s %12s %12s %12s\n", "metric", "threads", "min", "median", "iqr");
+  for (const Row& r : rows)
+    std::printf("%-22s %7zu %12.3f %12.3f %12.3f %s\n", r.name.c_str(), r.threads, r.s.min,
+                r.s.median, r.s.iqr, r.unit.c_str());
+  std::printf("bit-identical across thread counts: %s\n", same ? "yes" : "NO");
+
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::fprintf(f,
+               "{\n  \"bench\": \"characterize\",\n  \"cpus\": %u,\n  \"compiler\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n  \"repetitions\": %d,\n  \"solves_per_grid\": %zu,\n"
+               "  \"bit_identical_across_threads\": %s,\n  \"records\": [\n",
+               cpu_count(), RGLEAK_COMPILER, RGLEAK_BUILD_TYPE, reps, solves,
+               same ? "true" : "false");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    std::fprintf(f,
+                 "    {\"metric\": \"%s\", \"threads\": %zu, \"unit\": \"%s\", \"min\": %.4f, "
+                 "\"median\": %.4f, \"iqr\": %.4f}%s\n",
+                 r.name.c_str(), r.threads, r.unit.c_str(), r.s.min, r.s.median, r.s.iqr,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote %s\n", json_path.c_str());
+  return same ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace rgleak
+
+int main(int argc, char** argv) {
+  std::string json_path = "BENCH_characterize.json";
+  int reps = 5;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") return rgleak::run_smoke();
+    if (arg == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
+    } else if (arg == "--reps" && i + 1 < argc) {
+      reps = std::max(1, std::atoi(argv[++i]));
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH] [--reps N]\n", argv[0]);
+      return 2;
+    }
+  }
+  return rgleak::run_full(json_path, reps);
+}

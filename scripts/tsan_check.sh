@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive tests: the thread pool,
-# the parallel/concurrent exact-estimator paths, threaded Monte Carlo, and the
-# batch service layer (MPMC job queue, concurrent batch soak).
+# the parallel/concurrent exact-estimator paths, threaded Monte Carlo, the
+# parallel cell characterizers, and the batch service layer (MPMC job queue,
+# concurrent batch soak).
 # Part of the tier-1 verify flow (see ROADMAP.md). Uses its own build tree so
 # the regular build stays uninstrumented.
 set -euo pipefail
@@ -9,12 +10,16 @@ cd "$(dirname "$0")/.."
 
 BUILD=build-tsan
 cmake -B "$BUILD" -S . -DRGLEAK_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --target util_tests core_tests mc_tests service_tests robustness_tests -j "$(nproc)"
+cmake --build "$BUILD" --target util_tests charlib_tests core_tests mc_tests service_tests \
+  robustness_tests -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # *Metrics*: the lock-free instruments (relaxed counters/histograms, the
 # registry mutex, snapshot readers racing recorders) under real threads.
 "$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:*Metrics*'
+# Both characterizers fan (cell, state) pairs out over the pool, writing
+# per-pair slots and the charlib.* metrics from every worker.
+"$BUILD"/tests/charlib_tests --gtest_filter='*Characteriz*'
 "$BUILD"/tests/core_tests --gtest_filter='*Concurrent*:*ThreadCounts*:*FftPathMatchesDirectPath*'
 "$BUILD"/tests/mc_tests --gtest_filter='*Threaded*'
 # The service layer's shared-state hot spots: blocked producers/consumers on

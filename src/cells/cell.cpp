@@ -4,9 +4,9 @@
 
 namespace rgleak::cells {
 
-std::vector<bool> Cell::resolve_signals(std::uint32_t state) const {
+void Cell::resolve_into(std::uint32_t state, std::vector<bool>& signals) const {
   RGLEAK_REQUIRE(state < num_states(), "input state out of range");
-  std::vector<bool> signals(static_cast<std::size_t>(num_signals_), false);
+  signals.assign(static_cast<std::size_t>(num_signals_), false);
   for (int i = 0; i < num_inputs_; ++i)
     signals[static_cast<std::size_t>(i)] = (state >> i) & 1u;
   signals[static_cast<std::size_t>(gnd_signal_)] = false;
@@ -19,17 +19,25 @@ std::vector<bool> Cell::resolve_signals(std::uint32_t state) const {
     const bool value = stage.output->invert ^ stage.output->expr.eval(signals);
     signals[static_cast<std::size_t>(next_output++)] = value;
   }
+}
+
+std::vector<bool> Cell::resolve_signals(std::uint32_t state) const {
+  std::vector<bool> signals;
+  resolve_into(state, signals);
   return signals;
 }
 
 double Cell::leakage_na(std::uint32_t state, double l_nm, const device::TechnologyParams& tech,
                         std::span<const double> dvt_v) const {
-  const std::vector<bool> signals = resolve_signals(state);
-  std::vector<double> voltage(signals.size());
+  // Per-thread scratch: the characterizers call this in their inner loop.
+  thread_local std::vector<bool> signals;
+  thread_local std::vector<double> voltage;
+  thread_local std::vector<double> dvt_combined;
+  resolve_into(state, signals);
+  voltage.resize(signals.size());
   for (std::size_t i = 0; i < signals.size(); ++i) voltage[i] = signals[i] ? tech.vdd_v : 0.0;
 
   // Fold the systematic multi-Vt flavor offset into the per-device shifts.
-  std::vector<double> dvt_combined;
   if (vt_offset_v_ != 0.0) {
     dvt_combined.assign(num_devices_, vt_offset_v_);
     for (std::size_t i = 0; i < dvt_v.size() && i < dvt_combined.size(); ++i)
@@ -59,7 +67,8 @@ double Cell::leakage_na(std::uint32_t state, double l_nm, const device::Technolo
   if (tech.gate_leak_na_per_um2 > 0.0) {
     // Gate-tunneling extension: a device whose channel is inverted (NMOS
     // gate high / PMOS gate low) tunnels across the full oxide bias.
-    std::vector<const device::NetworkDevice*> devices;
+    thread_local std::vector<const device::NetworkDevice*> devices;
+    devices.clear();
     for (const auto& stage : stages_) {
       if (stage.pdn) stage.pdn->collect_devices(devices);
       if (stage.pun) stage.pun->collect_devices(devices);

@@ -95,6 +95,8 @@ class Cell {
  private:
   friend class CellBuilder;
   Cell() = default;
+  /// resolve_signals() into a caller-owned buffer (reuses its capacity).
+  void resolve_into(std::uint32_t state, std::vector<bool>& signals) const;
 
   std::string name_;
   int num_inputs_ = 0;

@@ -5,6 +5,7 @@
 
 #include "math/polyfit.h"
 #include "math/stats.h"
+#include "util/metrics.h"
 #include "util/require.h"
 
 namespace rgleak::charlib {
@@ -70,6 +71,53 @@ bool CharacterizedLibrary::has_models() const {
   return true;
 }
 
+namespace {
+
+// Characterizes every (cell, state) of `library` with `fn(k, cell, state)`,
+// fanned out over the pool; k is the pair's index in library order (cell
+// major), and results land in that order whatever the pool size. Records the
+// charlib.states counter and the charlib.state_ms histogram per pair.
+template <class Fn>
+std::vector<CellChar> characterize_states(const cells::StdCellLibrary& library,
+                                          util::ThreadPool* pool, const util::RunControl* run,
+                                          const char* where, Fn&& fn) {
+  struct Pair {
+    std::size_t cell;
+    std::uint32_t state;
+  };
+  std::vector<Pair> pairs;
+  for (std::size_t ci = 0; ci < library.size(); ++ci)
+    for (std::uint32_t s = 0; s < library.cell(ci).num_states(); ++s) pairs.push_back({ci, s});
+
+  auto& registry = util::metrics::Registry::instance();
+  util::metrics::Counter& states = registry.counter("charlib.states");
+  util::metrics::Histogram& state_ms = registry.histogram("charlib.state_ms");
+  std::vector<StateChar> out(pairs.size());
+  (pool != nullptr ? *pool : util::ThreadPool::shared())
+      .parallel_for(
+          pairs.size(),
+          [&](std::size_t k) {
+            if (run) run->poll(where);
+            const util::metrics::ScopedTimerMs timer(state_ms);
+            out[k] = fn(k, library.cell(pairs[k].cell), pairs[k].state);
+            states.add();
+          },
+          run);
+
+  std::vector<CellChar> cells(library.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k)
+    cells[pairs[k].cell].states.push_back(std::move(out[k]));
+  return cells;
+}
+
+std::size_t state_count(const cells::StdCellLibrary& library) {
+  std::size_t n = 0;
+  for (const cells::Cell& c : library.cells()) n += c.num_states();
+  return n;
+}
+
+}  // namespace
+
 CharacterizedLibrary characterize_monte_carlo(const cells::StdCellLibrary& library,
                                               const process::ProcessVariation& process,
                                               const McCharOptions& options) {
@@ -80,27 +128,27 @@ CharacterizedLibrary characterize_monte_carlo(const cells::StdCellLibrary& libra
   const double l_min = std::max(mu - span, 1.0);
   const double l_max = mu + std::max(span, 1e-3);
 
+  // Cell statistics must not depend on library order or scheduling, so every
+  // (cell, state) gets its own stream, forked up front in library order.
   math::Rng rng(options.seed);
-  std::vector<CellChar> cells;
-  cells.reserve(library.size());
-  for (std::size_t ci = 0; ci < library.size(); ++ci) {
-    const cells::Cell& cell = library.cell(ci);
-    CellChar cc;
-    cc.states.resize(cell.num_states());
-    for (std::uint32_t s = 0; s < cell.num_states(); ++s) {
-      if (options.run) options.run->poll("characterize_monte_carlo");
-      const LeakageTable table(cell, s, library.tech(), l_min, l_max, options.table_points);
-      math::RunningStats acc;
-      // One shared stream: cell statistics must not depend on library order,
-      // so fork a stream per (cell, state).
-      math::Rng local = rng.fork();
-      for (std::size_t k = 0; k < options.samples; ++k)
-        acc.add(table.eval_na(local.normal(mu, sigma)));
-      cc.states[s].mean_na = acc.mean();
-      cc.states[s].sigma_na = acc.stddev();
-    }
-    cells.push_back(std::move(cc));
-  }
+  const std::size_t pairs = state_count(library);
+  std::vector<math::Rng> streams;
+  streams.reserve(pairs);
+  for (std::size_t k = 0; k < pairs; ++k) streams.push_back(rng.fork());
+
+  std::vector<CellChar> cells = characterize_states(
+      library, options.pool, options.run, "characterize_monte_carlo",
+      [&](std::size_t k, const cells::Cell& cell, std::uint32_t s) {
+        const LeakageTable table(cell, s, library.tech(), l_min, l_max, options.table_points);
+        math::RunningStats acc;
+        math::Rng& local = streams[k];
+        for (std::size_t i = 0; i < options.samples; ++i)
+          acc.add(table.eval_na(local.normal(mu, sigma)));
+        StateChar out;
+        out.mean_na = acc.mean();
+        out.sigma_na = acc.stddev();
+        return out;
+      });
   return CharacterizedLibrary(&library, process, std::move(cells));
 }
 
@@ -126,13 +174,16 @@ math::LogQuadraticModel fit_log_quadratic(const cells::Cell& cell, std::uint32_t
   // condition number means the fit span collapsed and the coefficients are
   // garbage — better to refuse than to ship a bogus (a, b, c).
   constexpr double kMaxFitCondition = 1e10;
-  if (fit_info.condition > kMaxFitCondition) {
+  if (!(fit_info.condition <= kMaxFitCondition)) {
     std::ostringstream os;
     os << "log-quadratic fit for cell " << cell.name() << " state " << state
        << " is ill-conditioned (condition " << fit_info.condition << " over L in [" << lo << ", "
        << hi << "] nm)";
     throw NumericalError(os.str());
   }
+  static util::metrics::Gauge& condition_max =
+      util::metrics::Registry::instance().gauge("charlib.fit_condition_max");
+  condition_max.raise_to(static_cast<std::int64_t>(std::ceil(fit_info.condition)));
   // Un-center: ln I = k0 + k1 (L - mu) + k2 (L - mu)^2
   //                 = (k0 - k1 mu + k2 mu^2) + (k1 - 2 k2 mu) L + k2 L^2.
   math::LogQuadraticModel m;
@@ -147,23 +198,18 @@ CharacterizedLibrary characterize_analytic(const cells::StdCellLibrary& library,
                                            const AnalyticCharOptions& options) {
   const double mu = process.length().mean_nm;
   const double sigma = process.length().sigma_total_nm();
-  std::vector<CellChar> cells;
-  cells.reserve(library.size());
-  for (std::size_t ci = 0; ci < library.size(); ++ci) {
-    const cells::Cell& cell = library.cell(ci);
-    CellChar cc;
-    cc.states.resize(cell.num_states());
-    for (std::uint32_t s = 0; s < cell.num_states(); ++s) {
-      if (options.run) options.run->poll("characterize_analytic");
-      const math::LogQuadraticModel model =
-          fit_log_quadratic(cell, s, library.tech(), mu, sigma, options);
-      const math::LogQuadraticMoments moments(model, mu, sigma);
-      cc.states[s].mean_na = moments.mean();
-      cc.states[s].sigma_na = moments.stddev();
-      cc.states[s].model = model;
-    }
-    cells.push_back(std::move(cc));
-  }
+  std::vector<CellChar> cells = characterize_states(
+      library, options.pool, options.run, "characterize_analytic",
+      [&](std::size_t, const cells::Cell& cell, std::uint32_t s) {
+        StateChar out;
+        const math::LogQuadraticModel model =
+            fit_log_quadratic(cell, s, library.tech(), mu, sigma, options);
+        const math::LogQuadraticMoments moments(model, mu, sigma);
+        out.mean_na = moments.mean();
+        out.sigma_na = moments.stddev();
+        out.model = model;
+        return out;
+      });
   return CharacterizedLibrary(&library, process, std::move(cells));
 }
 

@@ -21,6 +21,7 @@
 #include "math/rng.h"
 #include "process/variation.h"
 #include "util/run_control.h"
+#include "util/thread_pool.h"
 
 namespace rgleak::charlib {
 
@@ -53,6 +54,10 @@ struct McCharOptions {
   /// Cooperative stop / deadline, polled once per (cell, state); a stop
   /// throws DeadlineExceeded from the characterizer.
   const util::RunControl* run = nullptr;
+  /// Workers the (cell, state) pairs fan out over; nullptr uses
+  /// ThreadPool::shared(). Each pair draws from its own stream, forked in
+  /// library order, so the result does not depend on the pool size.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Options for the analytic characterizer.
@@ -61,6 +66,9 @@ struct AnalyticCharOptions {
   double fit_span_sigma = 3.0;   ///< fit window mu ± span*sigma
   /// Cooperative stop / deadline, polled once per (cell, state).
   const util::RunControl* run = nullptr;
+  /// Workers the (cell, state) pairs fan out over; nullptr uses
+  /// ThreadPool::shared(). The result does not depend on the pool size.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Library + process + per-cell characterization data. Value type.
@@ -102,7 +110,8 @@ CharacterizedLibrary characterize_analytic(const cells::StdCellLibrary& library,
                                            const AnalyticCharOptions& options = {});
 
 /// Fits ln(leakage) of one (cell, state) to the log-quadratic form; exposed
-/// for tests and for the Fig.-2 experiment.
+/// for tests and for the Fig.-2 experiment. Raises the
+/// `charlib.fit_condition_max` gauge to the fit's condition number.
 math::LogQuadraticModel fit_log_quadratic(const cells::Cell& cell, std::uint32_t state,
                                           const device::TechnologyParams& tech, double mu_l_nm,
                                           double sigma_l_nm,

@@ -3,12 +3,19 @@
 //
 // A cell's pull-up and pull-down networks are series/parallel trees of
 // devices. For a given input state, the leakage through the network between
-// two rails is found by enforcing current continuity at the internal nodes:
-// every element's current is monotone in its terminal voltages, so a
-// nonlinear Gauss–Seidel sweep with safeguarded scalar root-finding converges
-// rapidly. This reproduces the transistor "stack effect" (a 2-stack leaks
-// ~10x less than a single off device), which is the logic-structure dependence
-// the paper's cell pre-characterization captures.
+// two rails is found by enforcing current continuity at the internal nodes;
+// every element's current is monotone in its terminal voltages, so each
+// series chain reduces to bracketed scalar root-finding (Brent's method):
+// on the internal-node voltage of a two-element stack, and on ln(I) for a
+// longer chain, whose elements are inverted by current marching. This
+// reproduces the transistor "stack effect" (a 2-stack leaks ~10x less than a
+// single off device), which is the logic-structure dependence the paper's
+// cell pre-characterization captures.
+//
+// The answers are those of the nested-bisection solver this one replaced
+// (kept as a test oracle, tests/device/legacy_network_oracle.h): bit for bit
+// for two-element stacks, whose result keeps the bisection's node-voltage
+// quantization, and to ~1e-13 relative for longer chains.
 
 #include <span>
 #include <vector>
@@ -62,9 +69,13 @@ struct NetworkEvalContext {
 };
 
 /// Current (nA) flowing through the network from the node at `v_hi_v` to the
-/// node at `v_lo_v`. Requires v_hi_v >= v_lo_v. Throws NumericalError if the
-/// internal-node solve fails to converge (does not happen for valid
-/// series/parallel trees of monotone devices).
+/// node at `v_lo_v`. Requires v_hi_v >= v_lo_v, a technology, a positive
+/// finite channel length and finite gate voltages, Vt shifts and rails; the
+/// context and network are validated once per call, and a violation throws
+/// ContractViolation naming the offending entry (e.g. "dvt_v[2]"). Throws
+/// NumericalError when a root solve reaches Brent's iteration bound for its
+/// bracket (device/root_finding.h), i.e. the bracket stopped shrinking; this
+/// does not happen for valid series/parallel trees of monotone devices.
 double network_current(const Network& network, const NetworkEvalContext& ctx, double v_lo_v,
                        double v_hi_v);
 

@@ -16,6 +16,7 @@
 #include "util/failpoint.h"
 #include "util/format.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace rgleak::service {
@@ -301,16 +302,22 @@ JobOutput JobRunner::run_characterize(const JobSpec& job, const util::RunControl
   const double scale_nm = num_param(job, "corr_scale_um", 100.0) * 1000.0;
   const process::ProcessVariation process(len, vt, process::make_correlation(family, scale_nm));
 
+  // Serial, like every job kind without a `threads` parameter: batch workers
+  // already run jobs side by side, and a forked job child must stay
+  // single-threaded.
+  util::ThreadPool serial(1);
   charlib::CharacterizedLibrary chars = [&] {
     const PhaseScope phase("phase.characterize", "characterize", job);
     if (mode == "mc") {
       charlib::McCharOptions opts;
       opts.samples = count_param(job, "samples", 20000);
       opts.run = watchdog;
+      opts.pool = &serial;
       return charlib::characterize_monte_carlo(*library_, process, opts);
     }
     charlib::AnalyticCharOptions opts;
     opts.run = watchdog;
+    opts.pool = &serial;
     return charlib::characterize_analytic(*library_, process, opts);
   }();
   {

@@ -48,6 +48,12 @@ class Gauge {
  public:
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  /// Raises the level to `v` when `v` is higher (a high-water mark).
+  void raise_to(std::int64_t v) {
+    std::int64_t seen = value_.load(std::memory_order_relaxed);
+    while (v > seen && !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    }
+  }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -1,8 +1,12 @@
 #include "device/network.h"
+#include "device/root_finding.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/require.h"
@@ -213,6 +217,106 @@ TEST(Network, CurrentContinuityInChain) {
   const double weakest = network_current(Network::device(nmos(0, 120.0)), c.ctx, 0.0, 1.0);
   EXPECT_GT(i, 0.0);
   EXPECT_LT(i, weakest);
+}
+
+// Stacks of 1, 2 and 3 OFF NMOS devices, each with its own dvt index.
+std::vector<Network> off_stacks() {
+  std::vector<Network> out;
+  for (int depth = 1; depth <= 3; ++depth) {
+    std::vector<Network> chain;
+    for (int k = 0; k < depth; ++k) {
+      NetworkDevice d = nmos(0);
+      d.dvt_index = k;
+      chain.push_back(Network::device(d));
+    }
+    out.push_back(Network::series(std::move(chain)));
+  }
+  return out;
+}
+
+// Calls network_current and returns the ContractViolation message ("" when
+// nothing was thrown).
+std::string contract_message(const Network& n, const NetworkEvalContext& ctx, double v_lo,
+                             double v_hi) {
+  try {
+    network_current(n, ctx, v_lo, v_hi);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Network, NonFiniteInputsAreRejectedAtEntry) {
+  // A NaN used to come back as a NaN current from a single device or a
+  // two-stack, and as a finite, wrong current from a three-stack.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Network& net : off_stacks()) {
+    const std::string depth = std::to_string(net.device_count());
+    Ctx c({0.0, 1.0});
+    std::vector<double> dvt = {0.0, 0.0, 0.0};
+    c.ctx.dvt_v = dvt;
+    ASSERT_GT(network_current(net, c.ctx, 0.0, 1.0), 0.0) << depth;
+
+    dvt[net.device_count() - 1] = nan;
+    EXPECT_NE(contract_message(net, c.ctx, 0.0, 1.0)
+                  .find("dvt_v[" + std::to_string(net.device_count() - 1) + "] is not finite"),
+              std::string::npos)
+        << depth;
+    dvt.assign(3, 0.0);
+
+    c.volts[1] = inf;
+    EXPECT_NE(contract_message(net, c.ctx, 0.0, 1.0).find("gate_voltage_v[1] is not finite"),
+              std::string::npos)
+        << depth;
+    c.volts[1] = 1.0;
+
+    c.ctx.l_nm = nan;
+    EXPECT_NE(contract_message(net, c.ctx, 0.0, 1.0).find("channel length"), std::string::npos)
+        << depth;
+    c.ctx.l_nm = 40.0;
+
+    EXPECT_NE(contract_message(net, c.ctx, 0.0, nan).find("rail voltages"), std::string::npos)
+        << depth;
+    EXPECT_NE(contract_message(net, c.ctx, -inf, 1.0).find("rail voltages"), std::string::npos)
+        << depth;
+  }
+}
+
+TEST(RootFinding, IterationCapRaisesNumericalError) {
+  const auto f = [](double x) { return x - 0.3; };
+  const detail::Bracket br{0.0, 1.0};
+  // (k+1)^2 with k = ceil(log2(1 / 1e-17)) = 57 bisection steps.
+  EXPECT_EQ(detail::brent_iteration_cap(br, 1e-17), 58 * 58);
+  EXPECT_THROW(detail::brent(f, br, f(br.lo), f(br.hi), 1e-17, 1, "test"), NumericalError);
+  const detail::Bracket root = detail::brent(f, br, f(br.lo), f(br.hi), 1e-17, "test");
+  EXPECT_LE(root.lo, 0.3);
+  EXPECT_GT(root.hi, 0.3);
+}
+
+// Functions on which interpolation makes little progress (infinite or zero
+// slope at the root, a jump, +inf on the high side, many decades of range)
+// still converge within the cap derived from the bracket.
+TEST(RootFinding, HardFunctionsConvergeWithinDerivedCap) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double r = 0.3;
+  const std::vector<std::pair<const char*, double (*)(double)>> cases = {
+      {"cbrt", [](double x) { return std::cbrt(x - 0.3); }},
+      {"ninth power", [](double x) { return std::pow(x - 0.3, 9); }},
+      {"jump", [](double x) { return x <= 0.3 ? -1e-300 : 1.0; }},
+      {"overshoot", [](double x) { return x <= 0.3 ? x - 0.3 : kInf; }},
+      {"exponential", [](double x) { return std::exp(80.0 * x) - std::exp(80.0 * 0.3); }},
+  };
+  for (const auto& [name, f] : cases) {
+    for (const double tol : {1e-17, 1e-15, 1e-9}) {
+      const detail::Bracket br{0.0, 1.0};
+      detail::Bracket root{};
+      ASSERT_NO_THROW(root = detail::brent(f, br, f(br.lo), f(br.hi), tol, name)) << name;
+      EXPECT_LE(root.lo, r + tol) << name;
+      EXPECT_GE(root.hi, r - tol) << name;
+      EXPECT_LE(root.hi - root.lo, 4.0 * std::numeric_limits<double>::epsilon() + tol) << name;
+    }
+  }
 }
 
 }  // namespace

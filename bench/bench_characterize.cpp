@@ -33,9 +33,6 @@
 #include "charlib/characterize.h"
 #include "util/thread_pool.h"
 
-#ifndef RGLEAK_BUILD_TYPE
-#define RGLEAK_BUILD_TYPE "unknown"
-#endif
 #if defined(__clang__)
 #define RGLEAK_COMPILER "clang " __clang_version__
 #elif defined(__GNUC__)

@@ -13,7 +13,7 @@ cmake -B "$BUILD" -S . -DRGLEAK_SANITIZE=address >/dev/null
 cmake --build "$BUILD" --target util_tests service_tests robustness_tests -j "$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1 ${ASAN_OPTIONS:-}"
-"$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:Failpoint.*:ErrorTaxonomy.*:Backoff.*:FakeClock.*'
+"$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:Failpoint.*:ErrorTaxonomy.*:FakeClock.*'
 # Everything labelled robustness in ctest: the service suite and the fault
 # injection / corpus / soak suite. handle_segv=0/handle_abort=0: the process
 # isolation tests deliberately segfault/abort sandboxed children, and those

@@ -277,11 +277,8 @@ std::uint64_t Planner::mc_worker_bytes(std::size_t padded_rows, std::size_t padd
   const std::uint64_t sampler = pad * sizeof(double) + sites * sizeof(double);
   // FieldWorkspace: freq + scratch padded complex buffers.
   const std::uint64_t field_ws = 2 * pad * sizeof(std::complex<double>);
-  // McWorkspace: wid field + per-gate table ids + bucket entries
-  // (site u32 + weight f64), cursors/begins, gather/eval buffers.
-  const std::uint64_t mc_ws = sites * sizeof(double) + g * sizeof(std::uint32_t) +
-                              g * (sizeof(std::uint32_t) + sizeof(double)) +
-                              2 * g * sizeof(std::uint32_t) + 2 * g * sizeof(double);
+  // McWorkspace: wid field + per-gate table ids.
+  const std::uint64_t mc_ws = sites * sizeof(double) + g * sizeof(std::uint32_t);
   return sampler + field_ws + mc_ws;
 }
 

@@ -88,7 +88,7 @@ class Planner {
 
   /// Per-worker arenas of the MC engine: the worker's field-sampler copy
   /// (eigenvalue table + spare-field cache on the padded grid), FFT
-  /// workspace, WID field buffer, and (site, table) bucket scratch.
+  /// workspace, WID field buffer, and per-gate table ids.
   /// `padded_rows/cols` come from GridFieldSampler::padded_dim (or the
   /// sampler's accessors once built).
   static std::uint64_t mc_worker_bytes(std::size_t padded_rows, std::size_t padded_cols,

@@ -1,6 +1,5 @@
 #include "math/rng.h"
 
-#include <bit>
 #include <cmath>
 
 #include "util/require.h"
@@ -99,12 +98,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
 }
 
 double Rng::normal() {
-  if (has_spare_) {
-    // Only reachable through set_state() on a state saved by the historical
-    // polar-method generator; fresh streams never set the spare.
-    has_spare_ = false;
-    return spare_;
-  }
   const ZigguratTables& t = zig();
   const std::uint64_t d = (*this)();
   const std::size_t idx = d & (kZigLayers - 1);
@@ -156,10 +149,6 @@ void Rng::normal_fill(double* out, std::size_t n) {
   // inlined here so bulk fills (the MC field draw is ~10^5 normals) skip the
   // per-call function and table-guard overhead.
   std::size_t i = 0;
-  if (has_spare_ && n > 0) {
-    has_spare_ = false;
-    out[i++] = spare_;
-  }
   const ZigguratTables& t = zig();
   while (i < n) {
     const std::uint64_t d = (*this)();
@@ -180,19 +169,5 @@ bool Rng::bernoulli(double p) {
 }
 
 Rng Rng::fork() { return Rng((*this)()); }
-
-Rng::State Rng::state() const {
-  State st;
-  st.s = state_;
-  st.spare_bits = std::bit_cast<std::uint64_t>(spare_);
-  st.has_spare = has_spare_;
-  return st;
-}
-
-void Rng::set_state(const State& st) {
-  state_ = st.s;
-  spare_ = std::bit_cast<double>(st.spare_bits);
-  has_spare_ = st.has_spare;
-}
 
 }  // namespace rgleak::math

@@ -50,26 +50,16 @@ class Rng {
   Rng fork();
 
   /// Complete engine state. Restoring it resumes the stream bit-identically.
-  /// The spare fields are kept for checkpoint-format compatibility with the
-  /// historical polar-method generator (stored as an exact bit pattern so
-  /// round-tripping through text is lossless); the ziggurat generator never
-  /// sets them.
-  struct State {
-    std::array<std::uint64_t, 4> s{};
-    std::uint64_t spare_bits = 0;
-    bool has_spare = false;
-  };
-  State state() const;
-  void set_state(const State& st);
+  using State = std::array<std::uint64_t, 4>;
+  State state() const { return state_; }
+  void set_state(const State& st) { state_ = st; }
 
  private:
   /// Slow ziggurat path for a draw that failed its layer's fast-accept test:
   /// wedge accept/reject or explicit tail sampling, redrawing until accepted.
   double normal_slow(std::uint64_t draw);
 
-  std::array<std::uint64_t, 4> state_;
-  double spare_ = 0.0;
-  bool has_spare_ = false;
+  State state_;
 };
 
 }  // namespace rgleak::math

@@ -1,5 +1,6 @@
 #include "mc/checkpoint.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <fstream>
@@ -34,8 +35,8 @@ void append_bits(std::string& buf, double v) {
 
 
 [[noreturn]] void fail(const std::string& path, const std::string& message,
-                       const std::string& token = "") {
-  throw ParseError(path, 0, 0, message, token);
+                       const std::string& token = "", std::size_t line = 0) {
+  throw ParseError(path, line, 0, message, token);
 }
 
 std::string next_token(std::istream& is, const std::string& path, const char* what) {
@@ -113,14 +114,11 @@ void McCheckpointWriter::add_worker(const math::Rng::State& rng,
   buf_ += "worker ";
   append_u64(buf_, workers_added_++);
   buf_ += "\nrng";
-  for (std::uint64_t word : rng.s) {
+  for (std::uint64_t word : rng) {
     buf_ += ' ';
     append_u64(buf_, word, 16);
   }
-  buf_ += ' ';
-  append_u64(buf_, rng.spare_bits, 16);
-  buf_ += ' ';
-  buf_ += rng.has_spare ? '1' : '0';
+  buf_ += " 0 0";  // reserved: the v1 layout's two Gaussian-spare tokens
   buf_ += "\ncached ";
   append_u64(buf_, cached_field != nullptr ? cached_field->size() : 0);
   if (cached_field != nullptr) {
@@ -176,30 +174,25 @@ McCheckpoint load_mc_checkpoint(const std::string& path) {
   if (!file) throw IoError("cannot open for reading: " + path);
   std::ostringstream whole;
   whole << file.rdbuf();
-  std::string text = whole.str();
+  const std::string text = whole.str();
 
-  // Verify and strip the integrity trailer ("crc32 <8 hex>" as the last
-  // line, covering every byte before it). Legacy checkpoints without a
-  // trailer still load; a trailer that is present but malformed or wrong
-  // means corruption and must not parse. A file truncated above the trailer
-  // loses the trailer line itself and is caught here too (the remaining
-  // payload no longer matches the checksum).
-  std::string payload = text;
-  {
-    std::string_view tail(text);
-    if (!tail.empty() && tail.back() == '\n') tail.remove_suffix(1);
-    const auto nl = tail.rfind('\n');
-    const std::string_view last =
-        nl == std::string_view::npos ? tail : tail.substr(nl + 1);
-    if (last.substr(0, 6) == "crc32 ") {
-      std::uint32_t want = 0;
-      if (!util::parse_crc32_hex(last.substr(6), want))
-        fail(path, "malformed checkpoint checksum trailer", std::string(last));
-      payload = nl == std::string_view::npos ? std::string() : text.substr(0, nl + 1);
-      if (util::crc32(payload) != want)
-        fail(path, "checkpoint checksum mismatch (corrupt or truncated file)");
-    }
-  }
+  // Verify and strip the integrity trailer: "crc32 <8 hex>" as the last
+  // line, covering every byte before it. A file without it, or truncated
+  // above it, is refused (the remaining payload no longer matches).
+  std::string_view tail(text);
+  if (!tail.empty() && tail.back() == '\n') tail.remove_suffix(1);
+  const auto nl = tail.rfind('\n');
+  const std::string_view last = nl == std::string_view::npos ? tail : tail.substr(nl + 1);
+  const auto last_line = static_cast<std::size_t>(std::count(tail.begin(), tail.end(), '\n')) + 1;
+  if (last.substr(0, 6) != "crc32 ")
+    fail(path, "missing checkpoint checksum trailer (last line must be 'crc32 <hex>')",
+         std::string(last.substr(0, 16)), last_line);
+  std::uint32_t want = 0;
+  if (!util::parse_crc32_hex(last.substr(6), want))
+    fail(path, "malformed checkpoint checksum trailer", std::string(last), last_line);
+  const std::string payload = nl == std::string_view::npos ? std::string() : text.substr(0, nl + 1);
+  if (util::crc32(payload) != want)
+    fail(path, "checkpoint checksum mismatch (corrupt or truncated file)", "", last_line);
   std::istringstream is(payload);
 
   const std::string magic = next_token(is, path, "magic header");
@@ -231,9 +224,11 @@ McCheckpoint load_mc_checkpoint(const std::string& path) {
     if (read_u64(is, path, "worker index") != w)
       fail(path, "worker records out of order");
     expect(is, path, "rng");
-    for (auto& word : ws.rng.s) word = read_hex64(is, path, "rng state word");
-    ws.rng.spare_bits = read_hex64(is, path, "rng spare bits");
-    ws.rng.has_spare = read_u64(is, path, "rng spare flag") != 0;
+    for (auto& word : ws.rng) word = read_hex64(is, path, "rng state word");
+    for (const char* what : {"reserved rng token", "reserved rng flag"}) {
+      const std::string tok = next_token(is, path, what);
+      if (tok != "0") fail(path, std::string(what) + " must be 0", tok);
+    }
     expect(is, path, "cached");
     const std::size_t ncached = static_cast<std::size_t>(read_u64(is, path, "cached size"));
     ws.cached_field.resize(ncached);
@@ -244,6 +239,8 @@ McCheckpoint load_mc_checkpoint(const std::string& path) {
     for (auto& v : ws.samples) v = read_bits(is, path, "sample value");
   }
   expect(is, path, "end");
+  std::string extra;
+  if (is >> extra) fail(path, "unexpected data after 'end'", extra);
   return ckpt;
 }
 

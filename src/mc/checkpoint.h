@@ -2,12 +2,12 @@
 // Checkpoint/resume state for the full-chip Monte-Carlo engine.
 //
 // A checkpoint captures everything a fresh process needs to continue a run
-// bit-identically: per-worker RNG engine state (including the Marsaglia
-// spare), the field sampler's spare-field cache, and every completed sample
-// (the percentile estimates need the raw values, not just moments). All
-// doubles are stored as exact 64-bit hex patterns so the text round-trip is
-// lossless. An identity header (seed, threads, trials, ...) guards against
-// resuming with a different run setup.
+// bit-identically: per-worker RNG engine state, the field sampler's
+// spare-field cache, and every completed sample (the percentile estimates
+// need the raw values, not just moments). All doubles are stored as exact
+// 64-bit hex patterns so the text round-trip is lossless. An identity header
+// (seed, threads, trials, ...) guards against resuming with a different run
+// setup.
 //
 // Format "rgmcckpt-v1" is documented in docs/FORMATS.md. Files are written
 // atomically (temp file + rename), so an interrupted save never leaves a
@@ -24,7 +24,7 @@ namespace rgleak::mc {
 
 /// One worker's stochastic state at a checkpoint boundary.
 struct McWorkerState {
-  math::Rng::State rng;
+  math::Rng::State rng{};
   /// Spare field pending in the worker's GridFieldSampler (empty when none).
   std::vector<double> cached_field;
   /// Completed trial samples of this worker's slice, in trial order.
@@ -86,7 +86,8 @@ class McCheckpointWriter {
 };
 
 /// Loads and validates a checkpoint. Throws IoError on an unreadable file and
-/// ParseError on a malformed or wrong-version one.
+/// ParseError on a malformed or wrong-version one, including a missing or
+/// mismatched crc32 trailer and any data after the end marker.
 McCheckpoint load_mc_checkpoint(const std::string& path);
 
 }  // namespace rgleak::mc

@@ -25,10 +25,8 @@ namespace rgleak::mc {
 namespace {
 
 /// Neumaier-compensated accumulator: the per-trial totals sum thousands of
-/// leakage values spanning orders of magnitude, and the bucketed path visits
-/// them in a different order than the per-gate path. Compensation makes both
-/// orders agree to ~1 ULP of the true sum, which is what lets the paths be
-/// cross-validated against a tight tolerance.
+/// leakage values spanning orders of magnitude; compensation keeps the total
+/// within ~1 ULP of the true sum whatever the summation order.
 struct CompensatedSum {
   double sum = 0.0;
   double comp = 0.0;
@@ -159,55 +157,47 @@ FullChipMonteCarlo::FullChipMonteCarlo(const placement::Placement& placement,
              chars.process().anisotropy()),
       rng_(options.seed) {
   RGLEAK_REQUIRE(options_.trials >= 2, "MC needs at least two trials");
-  const std::size_t n = placement.netlist().size();
-  RGLEAK_REQUIRE(n <= UINT32_MAX && placement.floorplan().num_sites() <= UINT32_MAX,
-                 "MC bucketing indexes gates and sites with 32 bits");
-  state_.resize(n);
-  table_id_.resize(n);
+  cell_state_ids_.resize(chars.library().size());
+  table_id_.resize(placement.netlist().size());
   draw_states(rng_);
+}
+
+std::uint32_t FullChipMonteCarlo::draw_state(math::Rng& rng, std::size_t cell_index) const {
+  std::uint32_t s = 0;
+  for (int bit = 0; bit < chars_->library().cell(cell_index).num_inputs(); ++bit)
+    if (rng.bernoulli(options_.signal_probability)) s |= (1u << bit);
+  return s;
 }
 
 void FullChipMonteCarlo::draw_states(math::Rng& rng) {
   const netlist::Netlist& nl = placement_->netlist();
   for (std::size_t g = 0; g < nl.size(); ++g) {
     const std::size_t ci = nl.gate(g).cell_index;
-    const cells::Cell& cell = chars_->library().cell(ci);
-    std::uint32_t s = 0;
-    for (int bit = 0; bit < cell.num_inputs(); ++bit)
-      if (rng.bernoulli(options_.signal_probability)) s |= (1u << bit);
-    state_[g] = s;
-    table_id_[g] = table_for(ci, s);
+    table_id_[g] = table_for(ci, draw_state(rng, ci));
   }
-  ws_.buckets_built = false;
 }
 
 std::uint32_t FullChipMonteCarlo::table_for(std::size_t cell_index, std::uint32_t state) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(cell_index) << 32) | state;
-  const auto it = table_index_.find(key);
-  if (it != table_index_.end()) return it->second;
+  std::vector<std::uint32_t>& ids = cell_state_ids_[cell_index];
+  if (ids.empty())
+    ids.assign(std::size_t{1} << chars_->library().cell(cell_index).num_inputs(), kNoTable);
+  if (ids[state] != kNoTable) return ids[state];
 
   const double mu = chars_->process().length().mean_nm;
   const double sigma = chars_->process().length().sigma_total_nm();
   const double span = 8.0 * sigma;
-  auto table = std::make_unique<charlib::LeakageTable>(
+  ids[state] = static_cast<std::uint32_t>(tables_.size());
+  tables_.push_back(std::make_unique<charlib::LeakageTable>(
       chars_->library().cell(cell_index), state, chars_->library().tech(),
-      std::max(mu - span, 1.0), mu + std::max(span, 1e-3), options_.table_points);
-  const auto id = static_cast<std::uint32_t>(table_list_.size());
-  table_list_.push_back(table.get());
-  tables_.push_back(std::move(table));
-  table_index_.emplace(key, id);
-  return id;
+      std::max(mu - span, 1.0), mu + std::max(span, 1e-3), options_.table_points));
+  return ids[state];
 }
 
 void FullChipMonteCarlo::build_all_state_tables() {
   const netlist::Netlist& nl = placement_->netlist();
-  cell_state_ids_.resize(chars_->library().size());
   for (std::size_t g = 0; g < nl.size(); ++g) {
     const std::size_t ci = nl.gate(g).cell_index;
-    if (!cell_state_ids_[ci].empty()) continue;
-    const std::uint32_t states = 1u << chars_->library().cell(ci).num_inputs();
-    cell_state_ids_[ci].resize(states);
-    for (std::uint32_t s = 0; s < states; ++s) cell_state_ids_[ci][s] = table_for(ci, s);
+    for (std::uint32_t s = 0; s < cell_state_ids_[ci].size(); ++s) table_for(ci, s);
   }
 }
 
@@ -217,68 +207,9 @@ void FullChipMonteCarlo::draw_states_into(math::Rng& rng,
   table_id.resize(nl.size());
   for (std::size_t g = 0; g < nl.size(); ++g) {
     const std::size_t ci = nl.gate(g).cell_index;
-    const cells::Cell& cell = chars_->library().cell(ci);
-    std::uint32_t s = 0;
-    for (int bit = 0; bit < cell.num_inputs(); ++bit)
-      if (rng.bernoulli(options_.signal_probability)) s |= (1u << bit);
-    RGLEAK_REQUIRE(ci < cell_state_ids_.size() && !cell_state_ids_[ci].empty(),
-                   "state table not prebuilt");
-    table_id[g] = cell_state_ids_[ci][s];
+    table_id[g] = cell_state_ids_[ci][draw_state(rng, ci)];
+    RGLEAK_REQUIRE(table_id[g] != kNoTable, "state table not prebuilt");
   }
-}
-
-void FullChipMonteCarlo::build_buckets(McWorkspace& ws, bool merge_duplicates) const {
-  // Counting sort of gates by table id: O(gates + tables), no comparisons,
-  // and every buffer reuses its capacity across rebuilds (per-trial state
-  // resampling rebuilds buckets every trial without allocating).
-  const std::size_t n = ws.table_id.size();
-  const std::size_t nb = table_list_.size();
-  ws.bucket_begin.resize(nb + 1);
-  std::fill(ws.bucket_begin.begin(), ws.bucket_begin.end(), 0u);
-  for (std::size_t g = 0; g < n; ++g) ++ws.bucket_begin[ws.table_id[g] + 1];
-  for (std::size_t b = 0; b < nb; ++b) ws.bucket_begin[b + 1] += ws.bucket_begin[b];
-
-  ws.entry_site.resize(n);
-  ws.entry_weight.resize(n);
-  ws.fill.resize(nb);
-  std::copy(ws.bucket_begin.begin(), ws.bucket_begin.end() - 1, ws.fill.begin());
-  for (std::size_t g = 0; g < n; ++g) {
-    const std::uint32_t e = ws.fill[ws.table_id[g]]++;
-    ws.entry_site[e] = static_cast<std::uint32_t>(placement_->site_of(g));
-    ws.entry_weight[e] = 1.0;
-  }
-
-  if (merge_duplicates) {
-    // Fold repeated (site, table) pairs into one weighted entry: the gate
-    // count becomes the entry weight, so N gates sharing a site and table
-    // cost one table lookup instead of N. Placements that give every gate
-    // its own site compact to weight-1 entries (a no-op); the sort is only
-    // worth its cost when the buckets are built once per run.
-    std::size_t out = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      const std::uint32_t begin = ws.bucket_begin[b];
-      const std::uint32_t end = ws.bucket_begin[b + 1];
-      std::sort(ws.entry_site.begin() + begin, ws.entry_site.begin() + end);
-      ws.bucket_begin[b] = static_cast<std::uint32_t>(out);
-      for (std::uint32_t e = begin; e < end;) {
-        const std::uint32_t site = ws.entry_site[e];
-        std::uint32_t run = 0;
-        while (e < end && ws.entry_site[e] == site) {
-          ++run;
-          ++e;
-        }
-        ws.entry_site[out] = site;
-        ws.entry_weight[out] = static_cast<double>(run);
-        ++out;
-      }
-    }
-    ws.bucket_begin[nb] = static_cast<std::uint32_t>(out);
-  }
-
-  const std::size_t total = ws.bucket_begin[nb];
-  ws.l_buf.resize(total);
-  ws.i_buf.resize(total);
-  ws.buckets_built = true;
 }
 
 double FullChipMonteCarlo::run_trial(process::GridFieldSampler& field, math::Rng& rng,
@@ -288,37 +219,10 @@ double FullChipMonteCarlo::run_trial(process::GridFieldSampler& field, math::Rng
   const double d2d = rng.normal(0.0, chars_->process().length().sigma_d2d_nm);
   field.sample_into(rng, ws.field, ws.wid);
   const double base = mu + d2d;
-  if (options_.eval_path == McEvalPath::kBucketed) {
-    if (!ws.buckets_built) build_buckets(ws, /*merge_duplicates=*/!options_.resample_states_per_trial);
-    return sum_bucketed(ws, base);
-  }
-  return sum_per_gate(ws, base);
-}
-
-double FullChipMonteCarlo::sum_bucketed(McWorkspace& ws, double base) const {
-  const std::size_t nb = table_list_.size();
-  const std::size_t total = ws.bucket_begin[nb];
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::uint32_t begin = ws.bucket_begin[b];
-    const std::uint32_t count = ws.bucket_begin[b + 1] - begin;
-    if (count == 0) continue;
-    double* l = ws.l_buf.data() + begin;
-    const std::uint32_t* site = ws.entry_site.data() + begin;
-    for (std::uint32_t e = 0; e < count; ++e) l[e] = base + ws.wid[site[e]];
-    table_list_[b]->eval_many_na(l, ws.i_buf.data() + begin, count);
-  }
-  CompensatedSum acc;
-  for (std::size_t e = 0; e < total; ++e) acc.add(ws.entry_weight[e] * ws.i_buf[e]);
-  return acc.value();
-}
-
-double FullChipMonteCarlo::sum_per_gate(const McWorkspace& ws, double base) const {
   const std::size_t n = ws.table_id.size();
   CompensatedSum acc;
-  for (std::size_t g = 0; g < n; ++g) {
-    const double l = base + ws.wid[placement_->site_of(g)];
-    acc.add(table_list_[ws.table_id[g]]->eval_na(l));
-  }
+  for (std::size_t g = 0; g < n; ++g)
+    acc.add(tables_[ws.table_id[g]]->eval_na(base + ws.wid[placement_->site_of(g)]));
   return acc.value();
 }
 
@@ -387,7 +291,7 @@ FullChipMcResult FullChipMonteCarlo::run() {
 FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
   const util::RunControl* rc = options_.run;
 
-  // Charge the per-worker arenas (sampler copy + FFT workspace + bucket
+  // Charge the per-worker arenas (sampler copy + FFT workspace + trial
   // scratch) and the sample slices against the process memory budget up
   // front; the reservation lives until run() returns. This is the tracked
   // backstop behind the admission layer's preflight — if the budget cannot
@@ -470,10 +374,7 @@ FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
     const std::size_t target = slice_size[w];
     for (std::size_t did = 0; wk.samples.size() < target && did < chunk; ++did) {
       if (rc && rc->should_stop()) break;
-      if (options_.resample_states_per_trial) {
-        draw_states_into(wk.rng, wk.ws.table_id);
-        wk.ws.buckets_built = false;
-      }
+      if (options_.resample_states_per_trial) draw_states_into(wk.rng, wk.ws.table_id);
       wk.samples.push_back(run_trial(wk.field, wk.rng, wk.ws));
       if (trials_counter != nullptr) trials_counter->add();
     }

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "service/subprocess.h"
-#include "util/backoff.h"
 #include "util/error.h"
 #include "util/memory.h"
 #include "util/metrics.h"
@@ -48,7 +47,6 @@ struct BatchMetrics {
       util::metrics::Registry::instance().counter("batch.jobs.retried");
   util::metrics::Counter& crashed =
       util::metrics::Registry::instance().counter("batch.jobs.crashed");
-  util::metrics::Counter& shed = util::metrics::Registry::instance().counter("batch.jobs.shed");
   util::metrics::Counter& stalled =
       util::metrics::Registry::instance().counter("batch.jobs.stalled");
   util::metrics::Gauge& queue_depth =
@@ -63,7 +61,6 @@ struct BatchState {
   Journal* journal = nullptr;
   const BatchOptions* opts = nullptr;
   util::Clock* clock = nullptr;
-  RetryBudget* budget = nullptr;
   // Resolved isolation: when true every attempt forks a sandboxed child.
   bool use_subprocess = false;
   SubprocessOptions sub_opts;
@@ -133,8 +130,6 @@ void run_one(BatchState& st, const JobSpec& job, WorkerSlot* slot) {
   rec.id = job.id;
   int degrade = 0;
   int crash_count = 0;  // kCrash outcomes for this job, capped separately
-  util::BackoffState backoff =
-      util::backoff_state_for(st.opts->jitter_seed ^ util::backoff_job_hash(job.id.c_str()));
 
   st.metrics.started.add();
   for (;;) {
@@ -188,9 +183,9 @@ void run_one(BatchState& st, const JobSpec& job, WorkerSlot* slot) {
           st.metrics.crashed.add();
           span.set_outcome("crash");
           // Crashes get their own, tighter cap: a deterministic segfault
-          // should fail after max_crash_retries fresh children, not
+          // should fail after kMaxCrashRetries fresh children, not
           // max_attempts.
-          if (++crash_count > st.opts->retry.max_crash_retries) retry = false;
+          if (++crash_count > kMaxCrashRetries) retry = false;
         } else {
           span.set_outcome("error");
         }
@@ -216,7 +211,7 @@ void run_one(BatchState& st, const JobSpec& job, WorkerSlot* slot) {
       st.interrupted.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (!retry || rec.attempts >= st.opts->retry.max_attempts || !st.budget->try_take()) {
+    if (!retry || rec.attempts >= st.opts->retry.max_attempts) {
       rec.status = JobStatus::kFailed;
       record_terminal(st, rec);
       return;
@@ -224,17 +219,8 @@ void run_one(BatchState& st, const JobSpec& job, WorkerSlot* slot) {
     st.retries.fetch_add(1, std::memory_order_relaxed);
     st.metrics.retried.add();
     ++degrade;  // next attempt answers from a cheaper rung
-    backoff_sleep(st, util::next_backoff_ms(st.opts->retry.backoff, backoff));
+    backoff_sleep(st, backoff_ms(st.opts->retry.backoff, degrade));
   }
-}
-
-JobRecord shed_record(const JobSpec& job, ShedPolicy policy) {
-  JobRecord rec;
-  rec.id = job.id;
-  rec.status = JobStatus::kShed;
-  rec.error = std::string("{\"error\":\"shed\",\"message\":\"queue full (policy ") +
-              shed_policy_name(policy) + "): job shed before execution\"}";
-  return rec;
 }
 
 }  // namespace
@@ -247,13 +233,11 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
   BatchSummary summary;
   summary.total = jobs.size();
 
-  RetryBudget budget(options.retry.batch_retry_budget);
   BatchState st;
   st.executor = &executor;
   st.journal = &journal;
   st.opts = &options;
   st.clock = options.clock != nullptr ? options.clock : &util::SystemClock::instance();
-  st.budget = &budget;
 
   // Resolve attempt isolation. kDefault consults RGLEAK_ISOLATE so CI can
   // force sandboxing through an unmodified call site; an explicit kInProcess
@@ -270,16 +254,12 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
       throw ConfigError("process isolation requested but not supported on this platform");
     st.use_subprocess = true;
     st.sub_opts.term_grace_s = options.isolate_grace_s;
-    st.sub_opts.as_limit_bytes = options.isolate_as_limit_bytes;
-    if (st.sub_opts.as_limit_bytes == 0) {
-      // Derive the hard cap from the soft (tracked) budget: the MemoryBudget
-      // the child inherits still throws typed ResourceErrors first; the
-      // rlimit only catches what the accountant never saw.
-      const std::uint64_t soft = util::MemoryBudget::process().limit();
-      if (soft > 0) st.sub_opts.as_limit_bytes = soft * 2 + (256ULL << 20);
-    }
-    st.sub_opts.cpu_limit_s = options.isolate_cpu_limit_s;
-    if (st.sub_opts.cpu_limit_s == 0 && options.job_deadline_s > 0.0)
+    // Derive the hard caps from the soft limits: the MemoryBudget the child
+    // inherits still throws typed ResourceErrors first, and the watchdog
+    // cancels cooperatively first; the rlimits only catch what those miss.
+    const std::uint64_t soft = util::MemoryBudget::process().limit();
+    if (soft > 0) st.sub_opts.as_limit_bytes = soft * 2 + (256ULL << 20);
+    if (options.job_deadline_s > 0.0)
       st.sub_opts.cpu_limit_s =
           static_cast<std::uint64_t>(std::ceil(options.job_deadline_s * 4.0)) + 5;
   }
@@ -294,7 +274,7 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
       st.slots.push_back(std::make_unique<WorkerSlot>());
   }
 
-  JobQueue queue(options.queue_depth, options.shed_policy);
+  JobQueue queue(options.queue_depth);
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
@@ -344,7 +324,6 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
     });
   }
 
-  std::size_t shed = 0;
   for (const JobSpec& job : jobs) {
     if (journal.has(job.id)) {
       ++summary.skipped;  // crash-only resume: terminal outcomes never re-run
@@ -354,14 +333,9 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
       st.interrupted.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    JobQueue::PushResult result = queue.push(job);
+    const bool queued = queue.push(job);
     st.metrics.queue_depth.set(static_cast<std::int64_t>(queue.size()));
-    if (result.shed.has_value()) {
-      ++shed;
-      st.metrics.shed.add();
-      journal.append(shed_record(*result.shed, options.shed_policy));
-    }
-    if (result.closed) st.interrupted.fetch_add(1, std::memory_order_relaxed);
+    if (!queued) st.interrupted.fetch_add(1, std::memory_order_relaxed);
   }
   queue.close();
   for (std::thread& t : pool) t.join();
@@ -377,7 +351,6 @@ BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Jou
 
   summary.succeeded = st.succeeded.load();
   summary.failed = st.failed.load();
-  summary.shed = shed;
   summary.interrupted = st.interrupted.load();
   summary.retries = st.retries.load();
   summary.stalls = st.stalls.load();

@@ -9,12 +9,10 @@
 // dies and never wedges.
 //
 // Retry loop per job: a retryable failure (see service/retry.h) is retried up
-// to RetryPolicy::max_attempts times, gated by the shared per-batch
-// RetryBudget, with exponential backoff + decorrelated jitter between
-// attempts (seeded per job id, so schedules are deterministic and
-// worker-independent). Each retry also bumps the executor's `degrade` level,
-// walking estimate jobs down the cost ladder so the retry is cheaper than the
-// attempt that failed.
+// to RetryPolicy::max_attempts times, with a deterministic exponential
+// backoff between attempts. Each retry also bumps the executor's `degrade`
+// level, walking estimate jobs down the cost ladder so the retry is cheaper
+// than the attempt that failed.
 //
 // Stop semantics: when the batch-level RunControl stops (SIGINT, a test),
 // jobs already finished keep their records, jobs mid-flight or still queued
@@ -23,7 +21,6 @@
 // bounded by one chunk, not one backoff.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "service/executor.h"
@@ -54,7 +51,6 @@ struct BatchOptions {
   RetryPolicy retry;
   /// Queue bound; the backpressure knob.
   std::size_t queue_depth = 32;
-  ShedPolicy shed_policy = ShedPolicy::kBlock;
   /// Worker threads. 0 = hardware concurrency.
   std::size_t workers = 1;
   /// Per-job watchdog deadline, seconds; 0 = none. Applies to each *attempt*.
@@ -65,8 +61,6 @@ struct BatchOptions {
   /// slow-but-polling job is left alone. Cancellation latency is bounded by
   /// one watchdog poll interval (timeout/4, at most 50 ms) past the timeout.
   double stall_timeout_s = 0.0;
-  /// Seed for the backoff jitter streams (combined with each job id).
-  std::uint64_t jitter_seed = 0x5eedULL;
   /// Time source for backoff sleeps; null = the shared SystemClock.
   util::Clock* clock = nullptr;
   /// Batch-level stop source (SIGINT handler, a test). Linked as the parent
@@ -75,18 +69,13 @@ struct BatchOptions {
   /// Attempt isolation mode (see ExecIsolation).
   ExecIsolation isolate = ExecIsolation::kDefault;
   /// Process isolation: seconds between the cooperative SIGTERM and the
-  /// SIGKILL when stopping a sandboxed child.
+  /// SIGKILL when stopping a sandboxed child. Each child's rlimits derive
+  /// from the batch: RLIMIT_AS is twice the process MemoryBudget limit plus
+  /// slack when one is set (the tracked budget stays the soft limit that
+  /// throws typed ResourceErrors; the rlimit is the hard backstop for
+  /// untracked leaks), and RLIMIT_CPU is 4x job_deadline_s plus slack when a
+  /// deadline is set (a backstop for children wedged in signal-blind loops).
   double isolate_grace_s = 2.0;
-  /// Process isolation: RLIMIT_AS for each child, bytes. 0 = derive — twice
-  /// the process MemoryBudget limit plus slack when one is set (the tracked
-  /// budget stays the soft limit that throws typed ResourceErrors; the rlimit
-  /// is the hard backstop for untracked leaks), unlimited otherwise.
-  std::uint64_t isolate_as_limit_bytes = 0;
-  /// Process isolation: RLIMIT_CPU for each child, seconds. 0 = derive from
-  /// job_deadline_s (4x the deadline plus slack — a hard backstop well above
-  /// the cooperative watchdog, for children wedged in signal-blind loops);
-  /// unlimited when no deadline is set either.
-  std::uint64_t isolate_cpu_limit_s = 0;
 };
 
 struct BatchSummary {
@@ -94,7 +83,6 @@ struct BatchSummary {
   std::size_t skipped = 0;      ///< already terminal in the journal (resume)
   std::size_t succeeded = 0;
   std::size_t failed = 0;       ///< terminal structured failures
-  std::size_t shed = 0;         ///< load-shed by the queue (structured records)
   std::size_t interrupted = 0;  ///< batch stopped first; no record, will re-run
   std::size_t retries = 0;      ///< retry attempts consumed across the batch
   std::size_t stalls = 0;       ///< job attempts cancelled by the stall watchdog
@@ -105,13 +93,13 @@ struct BatchSummary {
 
   /// Every manifest job is accounted for exactly once.
   std::size_t accounted() const {
-    return skipped + succeeded + failed + shed + interrupted;
+    return skipped + succeeded + failed + interrupted;
   }
 };
 
 /// Runs `jobs` to terminal outcomes. Jobs already present in `journal` are
 /// skipped (crash-only resume); every other job ends as exactly one of
-/// succeeded / failed / shed (with a journal record) or interrupted (no
+/// succeeded / failed (with a journal record) or interrupted (no
 /// record, batch stop). Never throws for job-level failures; throws only for
 /// batch-level misconfiguration (ContractViolation).
 BatchSummary run_batch(const std::vector<JobSpec>& jobs, Executor& executor, Journal& journal,

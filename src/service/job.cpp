@@ -38,7 +38,6 @@ const char* job_status_name(JobStatus status) {
   switch (status) {
     case JobStatus::kSucceeded: return "ok";
     case JobStatus::kFailed: return "failed";
-    case JobStatus::kShed: return "shed";
   }
   return "unknown";
 }
@@ -90,40 +89,23 @@ std::string journal_record_json(const JobRecord& rec) {
   if (rec.beats > 0) os << ",\"beats\":" << rec.beats;
   if (!rec.error.empty()) os << ",\"error\":" << json_string(rec.error);
   os << "}";
-  // Integrity trailer: CRC32 of the record as rendered WITHOUT the "crc"
-  // field. parse_journal_record verifies and strips it, so a bit flip or a
-  // torn tail in a journal line is a located ParseError, not silent data.
-  std::string base = os.str();
-  base.insert(base.size() - 1, ",\"crc\":\"" + util::crc32_hex(util::crc32(base)) + "\"");
-  return base;
+  // Integrity field: parse_journal_record verifies and strips it, so a bit
+  // flip or a torn tail in a journal line is a located ParseError, not
+  // silent data.
+  std::string record = os.str();
+  util::append_crc_field(record);
+  return record;
 }
 
 JobRecord parse_journal_record(const std::string& text, const std::string& source,
                                std::size_t line) {
-  // Verify and strip the CRC trailer when present. Records written before
-  // checksumming (or by external tools) have no "crc" suffix and are accepted
-  // as-is; a present-but-wrong checksum is corruption and must not parse.
-  std::string body = text;
-  constexpr std::size_t kCrcSuffixLen = 18;  // ,"crc":"xxxxxxxx"}
-  if (body.size() > kCrcSuffixLen &&
-      body.compare(body.size() - kCrcSuffixLen, 8, ",\"crc\":\"") == 0 &&
-      body.compare(body.size() - 2, 2, "\"}") == 0) {
-    std::uint32_t want = 0;
-    if (util::parse_crc32_hex(body.substr(body.size() - 10, 8), want)) {
-      std::string base = body.substr(0, body.size() - kCrcSuffixLen) + "}";
-      if (util::crc32(base) != want)
-        throw ParseError(source, line, 0,
-                         "journal record checksum mismatch (corrupt or truncated record)");
-      body = std::move(base);
-    }
-  }
+  const std::string body = util::strip_crc_field(text, source, line);
   JsonObject obj = parse_json_object(body, source, line);
   JobRecord rec;
   rec.id = take_required(obj, "job", source, line);
   const std::string status = take_required(obj, "status", source, line);
   if (status == "ok") rec.status = JobStatus::kSucceeded;
   else if (status == "failed") rec.status = JobStatus::kFailed;
-  else if (status == "shed") rec.status = JobStatus::kShed;
   else throw ParseError(source, line, 0, "unknown job status", status);
   if (const auto it = obj.find("attempts"); it != obj.end())
     rec.attempts = static_cast<int>(parse_number(it->second, "attempts", source, line));

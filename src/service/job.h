@@ -12,9 +12,9 @@
 // manifest failures — a batch isolates them instead of dying.
 //
 // A JobRecord is the terminal outcome of one job: succeeded with an estimate,
-// failed with a structured error (the error_json rendering of the final
-// attempt's taxonomy error), or shed by the queue's load-shed policy. Records
-// are what the journal persists and what `rgleak batch` reports.
+// or failed with a structured error (the error_json rendering of the final
+// attempt's taxonomy error). Records are what the journal persists and what
+// `rgleak batch` reports.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +38,6 @@ struct JobSpec {
 enum class JobStatus {
   kSucceeded,  ///< executor returned a result
   kFailed,     ///< every allowed attempt failed; `error` holds the last error
-  kShed,       ///< dropped by the queue's load-shed policy, never executed
 };
 
 const char* job_status_name(JobStatus status);
@@ -46,7 +45,7 @@ const char* job_status_name(JobStatus status);
 struct JobRecord {
   std::string id;
   JobStatus status = JobStatus::kFailed;
-  /// Execution attempts consumed (0 for shed jobs).
+  /// Execution attempts consumed.
   int attempts = 0;
   /// Wall time across all attempts, ms (backoff sleeps excluded).
   double wall_ms = 0.0;
@@ -62,7 +61,7 @@ struct JobRecord {
   /// Progress heartbeats observed across all attempts (RunControl::beats);
   /// 0 when heartbeat tracking was off. Diagnostic for stall post-mortems.
   std::uint64_t beats = 0;
-  /// For kFailed / kShed: the one-line error_json rendering of the failure.
+  /// For kFailed: the one-line error_json rendering of the failure.
   std::string error;
 };
 
@@ -77,7 +76,8 @@ std::vector<JobSpec> load_manifest(const std::string& path);
 /// One journal line for `rec` (no trailing newline).
 std::string journal_record_json(const JobRecord& rec);
 
-/// Parses one journal record line. Throws located ParseError.
+/// Parses one journal record line. Throws located ParseError, including for a
+/// missing, malformed or mismatched "crc" field.
 JobRecord parse_journal_record(const std::string& text, const std::string& source,
                                std::size_t line);
 

@@ -2,58 +2,23 @@
 
 #include <algorithm>
 
-#include "util/error.h"
 #include "util/require.h"
 
 namespace rgleak::service {
 
-ShedPolicy parse_shed_policy(const std::string& name) {
-  if (name == "block") return ShedPolicy::kBlock;
-  if (name == "reject-new") return ShedPolicy::kRejectNew;
-  if (name == "drop-oldest") return ShedPolicy::kDropOldest;
-  throw ConfigError("unknown shed policy '" + name +
-                    "' (expected block, reject-new, or drop-oldest)");
-}
-
-const char* shed_policy_name(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kBlock: return "block";
-    case ShedPolicy::kRejectNew: return "reject-new";
-    case ShedPolicy::kDropOldest: return "drop-oldest";
-  }
-  return "unknown";
-}
-
-JobQueue::JobQueue(std::size_t capacity, ShedPolicy policy)
-    : capacity_(capacity), policy_(policy) {
+JobQueue::JobQueue(std::size_t capacity) : capacity_(capacity) {
   RGLEAK_REQUIRE(capacity > 0, "JobQueue capacity must be positive");
 }
 
-JobQueue::PushResult JobQueue::push(JobSpec job) {
+bool JobQueue::push(JobSpec job) {
   std::unique_lock<std::mutex> lock(mutex_);
-  PushResult result;
-  if (policy_ == ShedPolicy::kBlock)
-    space_.wait(lock, [&] { return closed_ || queue_.size() < capacity_; });
-  if (closed_) {
-    result.closed = true;
-    return result;
-  }
-  if (queue_.size() >= capacity_) {
-    ++shed_count_;
-    if (policy_ == ShedPolicy::kRejectNew) {
-      result.shed = std::move(job);
-      return result;
-    }
-    // kDropOldest: evict the head to admit the newcomer.
-    result.shed = std::move(queue_.front());
-    queue_.pop_front();
-  }
+  space_.wait(lock, [&] { return closed_ || queue_.size() < capacity_; });
+  if (closed_) return false;
   queue_.push_back(std::move(job));
   high_watermark_ = std::max(high_watermark_, queue_.size());
-  result.queued = true;
   lock.unlock();
   items_.notify_one();
-  return result;
+  return true;
 }
 
 std::optional<JobSpec> JobQueue::pop() {
@@ -79,11 +44,6 @@ void JobQueue::close() {
 std::size_t JobQueue::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();
-}
-
-std::size_t JobQueue::shed_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_count_;
 }
 
 std::size_t JobQueue::high_watermark() const {

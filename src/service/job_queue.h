@@ -1,17 +1,14 @@
 #pragma once
-// Bounded MPMC job queue with explicit backpressure and load-shed policy.
+// Bounded MPMC job queue with blocking backpressure.
 //
 // The batch runner's producer feeds this queue and worker threads drain it.
-// The bound is the backpressure mechanism: a full queue either blocks the
-// producer (kBlock — the default; total throughput is then governed by the
-// workers), or sheds load explicitly so the batch keeps moving under
-// overload. Shedding is never silent: push() hands the shed job back to the
-// caller, which records it as a structured kShed outcome in the journal —
-// a dropped job is an auditable record, not a disappearance.
+// The bound is the backpressure mechanism: a full queue blocks the producer,
+// so total throughput is governed by the workers and the manifest is never
+// read further ahead than the queue depth.
 //
 // close() ends the stream: producers stop enqueuing, consumers drain what is
-// left and then see kClosed. All operations are thread-safe; a TSan-covered
-// test drives concurrent producers/consumers through every policy.
+// left and then see nullopt. All operations are thread-safe; a TSan-covered
+// test drives concurrent producers and consumers through it.
 
 #include <condition_variable>
 #include <cstddef>
@@ -23,36 +20,13 @@
 
 namespace rgleak::service {
 
-/// What a full queue does with an incoming job.
-enum class ShedPolicy {
-  kBlock,       ///< wait for space (pure backpressure, nothing is shed)
-  kRejectNew,   ///< refuse the incoming job (newest is shed)
-  kDropOldest,  ///< evict the queue head to admit the incoming job
-};
-
-/// Parses "block" / "reject-new" / "drop-oldest"; throws ConfigError on
-/// anything else.
-ShedPolicy parse_shed_policy(const std::string& name);
-const char* shed_policy_name(ShedPolicy policy);
-
 class JobQueue {
  public:
-  struct PushResult {
-    /// True when the incoming job was admitted.
-    bool queued = false;
-    /// True when the queue was closed before the job could be admitted.
-    bool closed = false;
-    /// The job shed to make this push resolve: the incoming one under
-    /// kRejectNew, the previous queue head under kDropOldest.
-    std::optional<JobSpec> shed;
-  };
+  explicit JobQueue(std::size_t capacity);
 
-  JobQueue(std::size_t capacity, ShedPolicy policy);
-
-  /// Admits `job` per the shed policy. kBlock waits until space frees or the
-  /// queue closes. Never both queues and rejects silently: the caller always
-  /// learns exactly what happened to which job.
-  PushResult push(JobSpec job);
+  /// Waits until there is space or the queue closes. Returns true when `job`
+  /// was queued, false when the queue was closed first.
+  bool push(JobSpec job);
 
   /// Blocks until a job is available or the queue is closed and drained
   /// (then returns nullopt).
@@ -62,23 +36,18 @@ class JobQueue {
   void close();
 
   std::size_t capacity() const { return capacity_; }
-  ShedPolicy policy() const { return policy_; }
   std::size_t size() const;
-  /// Jobs shed so far (both policies).
-  std::size_t shed_count() const;
   /// Deepest the queue has been, for backpressure diagnostics.
   std::size_t high_watermark() const;
 
  private:
   const std::size_t capacity_;
-  const ShedPolicy policy_;
 
   mutable std::mutex mutex_;
-  std::condition_variable space_;  // producers wait here under kBlock
+  std::condition_variable space_;  // producers wait here
   std::condition_variable items_;  // consumers wait here
   std::deque<JobSpec> queue_;
   bool closed_ = false;
-  std::size_t shed_count_ = 0;
   std::size_t high_watermark_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 // Crash-only batch journal.
 //
-// One JSONL record per *terminal* job outcome (succeeded / failed / shed),
+// One JSONL record per *terminal* job outcome (succeeded / failed),
 // preceded by a magic header line. There is no "in progress" state and no
 // recovery procedure: a job that was mid-flight when the process was
 // SIGKILL'd simply has no record and is re-run on resume (jobs are

@@ -1,5 +1,8 @@
 #include "service/retry.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace rgleak::service {
 
 bool retryable(ErrorCode code) {
@@ -12,8 +15,8 @@ bool retryable(ErrorCode code) {
     case ErrorCode::kResource:
     // A crashed sandbox child may have hit a data race or a corrupted cache;
     // the retry runs in a fresh child. Bounded separately by the per-job
-    // crash cap (RetryPolicy::max_crash_retries) — a reproducible segfault
-    // should fail fast, not burn the whole attempt budget.
+    // crash cap (kMaxCrashRetries) — a reproducible segfault should fail
+    // fast, not burn the whole attempt budget.
     case ErrorCode::kCrash:
       return true;
     case ErrorCode::kParse:
@@ -22,6 +25,11 @@ bool retryable(ErrorCode code) {
       return false;
   }
   return true;
+}
+
+double backoff_ms(const BackoffPolicy& policy, int retry) {
+  const double base = std::max(0.0, policy.base_ms);
+  return std::min(policy.cap_ms, std::ldexp(base, std::max(0, retry - 1)));
 }
 
 }  // namespace rgleak::service

@@ -1,5 +1,5 @@
 #pragma once
-// Retry classification and budgets for batch jobs.
+// Retry classification and backoff for batch jobs.
 //
 // Retryability derives from the error taxonomy (util/error.h), not from
 // string matching:
@@ -14,15 +14,9 @@
 //   permanent  — ParseError and ConfigError (the input will not improve on a
 //                second read), ContractViolation (a bug; retrying hides it).
 //
-// Retries are bounded twice: per job (max_attempts) and per batch
-// (RetryBudget, a shared atomic), so a pathological manifest cannot turn
-// into an unbounded retry storm.
+// Retries are bounded per job (max_attempts, and kMaxCrashRetries for
+// crashes), so a pathological manifest cannot turn into a retry storm.
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-
-#include "util/backoff.h"
 #include "util/error.h"
 
 namespace rgleak::service {
@@ -30,38 +24,25 @@ namespace rgleak::service {
 /// Whether a failed attempt may be retried.
 bool retryable(ErrorCode code);
 
+/// Exponential backoff between the attempts of one job.
+struct BackoffPolicy {
+  double base_ms = 50.0;   ///< the first delay
+  double cap_ms = 5000.0;  ///< upper clamp on any delay
+};
+
+/// Delay before retry `k` (1-based): min(cap, base * 2^(k-1)).
+double backoff_ms(const BackoffPolicy& policy, int retry);
+
 struct RetryPolicy {
   /// Total attempts per job (1 = no retries).
   int max_attempts = 3;
-  util::BackoffPolicy backoff;
-  /// Total retries allowed across the whole batch; SIZE_MAX = unbounded.
-  std::size_t batch_retry_budget = SIZE_MAX;
-  /// Retries allowed per job for crash outcomes (ErrorCode::kCrash) — a child
-  /// killed by SIGSEGV/SIGABRT/OOM. Capped below max_attempts because a crash
-  /// is usually reproducible: one fresh-child retry catches the flaky case
-  /// without replaying a deterministic segfault N times.
-  int max_crash_retries = 1;
+  BackoffPolicy backoff;
 };
 
-/// Shared per-batch retry budget. try_take() atomically consumes one retry;
-/// once it returns false, every job's next retry is denied and its failure
-/// becomes terminal.
-class RetryBudget {
- public:
-  explicit RetryBudget(std::size_t budget) : remaining_(budget) {}
-
-  bool try_take() {
-    std::size_t cur = remaining_.load(std::memory_order_relaxed);
-    while (cur > 0) {
-      if (remaining_.compare_exchange_weak(cur, cur - 1, std::memory_order_relaxed)) return true;
-    }
-    return false;
-  }
-
-  std::size_t remaining() const { return remaining_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> remaining_;
-};
+/// Retries allowed per job for crash outcomes (ErrorCode::kCrash) — a child
+/// killed by SIGSEGV/SIGABRT/OOM. Capped below max_attempts because a crash
+/// is usually reproducible: one fresh-child retry catches the flaky case
+/// without replaying a deterministic segfault N times.
+constexpr int kMaxCrashRetries = 1;
 
 }  // namespace rgleak::service

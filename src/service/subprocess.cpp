@@ -101,12 +101,12 @@ void set_nonblocking(int fd) {
 // Keeps the tail of a byte stream: crash diagnostics (the assert message, the
 // "failpoint ... injected segv" line) are at the end of a child's output.
 struct CaptureTail {
+  static constexpr std::size_t kLimit = 4096;  // bytes of stdout+stderr kept
   std::string data;
-  std::size_t limit;
 
   void feed(const char* buf, std::size_t n) {
     data.append(buf, n);
-    if (data.size() > limit) data.erase(0, data.size() - limit);
+    if (data.size() > kLimit) data.erase(0, data.size() - kLimit);
   }
 };
 
@@ -220,10 +220,9 @@ void apply_rlimits(const SubprocessOptions& opts) {
     rl.rlim_max = static_cast<rlim_t>(opts.as_limit_bytes);
     ::setrlimit(RLIMIT_AS, &rl);
   }
-  if (!opts.allow_core) {
-    rlimit rl{};  // rlim_cur = rlim_max = 0
-    ::setrlimit(RLIMIT_CORE, &rl);
-  }
+  // No core dumps: a crash-matrix soak would otherwise litter gigabytes.
+  rlimit no_core{};  // rlim_cur = rlim_max = 0
+  ::setrlimit(RLIMIT_CORE, &no_core);
 }
 
 // `metrics` is the child-side registry delta (metrics::Registry::
@@ -355,7 +354,7 @@ JobOutput run_job_in_subprocess(Executor& executor, const JobSpec& job,
   } detach_guard{watchdog};
 
   std::string result_text;
-  CaptureTail tail{std::string(), options.capture_limit};
+  CaptureTail tail;
   bool term_sent = false;
   bool kill_sent = false;
   auto term_time = std::chrono::steady_clock::time_point{};

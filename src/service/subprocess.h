@@ -90,12 +90,6 @@ struct SubprocessOptions {
   /// memory budget so a leaking job gets std::bad_alloc (-> typed
   /// ResourceError in the child) instead of dragging the host into swap.
   std::uint64_t as_limit_bytes = 0;
-  /// RLIMIT_CORE: children do not dump core unless asked (a crash-matrix
-  /// soak would otherwise litter gigabytes of cores).
-  bool allow_core = false;
-  /// Bytes of child stdout+stderr retained (the *tail* — the last lines are
-  /// where crash diagnostics live).
-  std::size_t capture_limit = 4096;
 };
 
 /// True when this build can fork job children (POSIX).

@@ -3,9 +3,13 @@
 #include <array>
 #include <string>
 
+#include "util/error.h"
+
 namespace rgleak::util {
 
 namespace {
+
+constexpr std::string_view kCrcKey = ",\"crc\":\"";
 
 std::array<std::uint32_t, 256> make_table() {
   std::array<std::uint32_t, 256> table{};
@@ -49,6 +53,31 @@ bool parse_crc32_hex(std::string_view text, std::uint32_t& out) {
   }
   out = v;
   return true;
+}
+
+void append_crc_field(std::string& record) {
+  const std::string crc = crc32_hex(crc32(record));
+  record.insert(record.size() - 1, std::string(kCrcKey) + crc + '"');
+}
+
+std::string strip_crc_field(std::string_view record, const std::string& source,
+                            std::size_t line) {
+  const auto at = record.rfind(kCrcKey);
+  if (at == std::string_view::npos)
+    throw ParseError(source, line, 0, "record has no \"crc\" field");
+  const std::string_view rest = record.substr(at + kCrcKey.size());
+  const auto quote = rest.find('"');
+  if (quote == std::string_view::npos || rest.substr(quote) != "\"}")
+    throw ParseError(source, line, 0, "\"crc\" must be the last field of the record");
+  std::uint32_t want = 0;
+  if (!parse_crc32_hex(rest.substr(0, quote), want))
+    throw ParseError(source, line, 0, "malformed crc (expected 8 hex digits)",
+                     std::string(rest.substr(0, quote)));
+  std::string base(record.substr(0, at));
+  base += '}';
+  if (crc32(base) != want)
+    throw ParseError(source, line, 0, "record checksum mismatch (corrupt or truncated record)");
+  return base;
 }
 
 }  // namespace rgleak::util

@@ -27,4 +27,17 @@ std::string crc32_hex(std::uint32_t crc);
 /// other shape (wrong length, non-hex characters).
 bool parse_crc32_hex(std::string_view text, std::uint32_t& out);
 
+/// Stamps a one-line JSON object (journal records, trace spans) with its
+/// integrity field: inserts `,"crc":"xxxxxxxx"` before the closing brace,
+/// where the CRC covers the record as rendered without the field. `record`
+/// must end in '}'.
+void append_crc_field(std::string& record);
+
+/// Verifies the field append_crc_field() stamped and returns the record
+/// without it. Throws a ParseError located at (`source`, `line`) when the
+/// field is missing, is not the last field, is not 8 hex digits, or does not
+/// match the record.
+std::string strip_crc_field(std::string_view record, const std::string& source,
+                            std::size_t line);
+
 }  // namespace rgleak::util

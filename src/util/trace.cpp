@@ -147,9 +147,7 @@ Span::~Span() {
   else
     append_json_string(out, std::uncaught_exceptions() > uncaught_ ? "error" : "ok");
   out += '}';
-  // Same integrity trailer as journal records: CRC32 of the record as
-  // rendered without the crc field, inserted before the closing brace.
-  out.insert(out.size() - 1, ",\"crc\":\"" + crc32_hex(crc32(out)) + "\"");
+  append_crc_field(out);  // same integrity field as journal records
   out += '\n';
   // One write() on an O_APPEND fd: concurrent writers (threads AND forked
   // children) interleave whole lines, never shear them. A failed or short

@@ -1,7 +1,6 @@
 // Contracts of the performance-oriented MC trial path (DESIGN.md "MC
-// performance"): the bucketed evaluation must agree with the per-gate
-// reference to compensated-summation tolerance on the identical RNG stream,
-// and the steady-state trial loop must never allocate.
+// performance"): the steady-state trial loop must never allocate, and the
+// checkpoint path must not deep-copy worker state.
 
 #include "mc/full_chip_mc.h"
 
@@ -38,71 +37,6 @@ placement::Floorplan grid(std::size_t rows, std::size_t cols) {
   return fp;
 }
 
-// Both paths draw the same states and fields from the same stream; the only
-// divergence is evaluation order and the batched exp kernel. With Neumaier
-// summation on both sides, per-trial totals agree far tighter than this.
-constexpr double kPathRelTol = 1e-11;
-
-TEST(McPerfPath, BucketedMatchesPerGatePerTrial) {
-  math::Rng gen(61);
-  const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 144, gen);
-  const placement::Placement pl(&nl, grid(12, 12));
-
-  for (const bool resample : {false, true}) {
-    FullChipMcOptions bucketed;
-    bucketed.resample_states_per_trial = resample;
-    bucketed.eval_path = McEvalPath::kBucketed;
-    FullChipMcOptions per_gate = bucketed;
-    per_gate.eval_path = McEvalPath::kPerGate;
-
-    FullChipMonteCarlo a(pl, mini_chars_analytic(), bucketed);
-    FullChipMonteCarlo b(pl, mini_chars_analytic(), per_gate);
-    math::Rng ra(12345), rb(12345);
-    for (int t = 0; t < 40; ++t) {
-      const double va = a.sample_total_na(ra);
-      const double vb = b.sample_total_na(rb);
-      EXPECT_NEAR(va, vb, kPathRelTol * vb) << "trial " << t << " resample=" << resample;
-    }
-  }
-}
-
-TEST(McPerfPath, BucketedMatchesPerGateRunStatistics) {
-  math::Rng gen(67);
-  const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 100, gen);
-  const placement::Placement pl(&nl, grid(10, 10));
-  FullChipMcOptions bucketed;
-  bucketed.trials = 300;
-  bucketed.seed = 4242;
-  FullChipMcOptions per_gate = bucketed;
-  per_gate.eval_path = McEvalPath::kPerGate;
-  const FullChipMcResult rb = FullChipMonteCarlo(pl, mini_chars_analytic(), bucketed).run();
-  const FullChipMcResult rp = FullChipMonteCarlo(pl, mini_chars_analytic(), per_gate).run();
-  EXPECT_NEAR(rb.mean_na, rp.mean_na, kPathRelTol * rp.mean_na);
-  EXPECT_NEAR(rb.sigma_na, rp.sigma_na, kPathRelTol * rp.mean_na);
-  EXPECT_NEAR(rb.p99_na, rp.p99_na, kPathRelTol * rp.p99_na);
-}
-
-TEST(McPerfPath, ThreadedBucketedMatchesThreadedPerGate) {
-  // Thread-count changes reorder the RNG streams, but for a fixed (seed,
-  // threads) the two evaluation paths still see identical draws. The name
-  // carries "Threaded" so scripts/tsan_check.sh races the restructured
-  // worker rounds under TSan.
-  math::Rng gen(71);
-  const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 100, gen);
-  const placement::Placement pl(&nl, grid(10, 10));
-  FullChipMcOptions bucketed;
-  bucketed.trials = 240;
-  bucketed.seed = 4243;
-  bucketed.threads = 4;
-  bucketed.resample_states_per_trial = true;
-  FullChipMcOptions per_gate = bucketed;
-  per_gate.eval_path = McEvalPath::kPerGate;
-  const FullChipMcResult rb = FullChipMonteCarlo(pl, mini_chars_analytic(), bucketed).run();
-  const FullChipMcResult rp = FullChipMonteCarlo(pl, mini_chars_analytic(), per_gate).run();
-  EXPECT_NEAR(rb.mean_na, rp.mean_na, kPathRelTol * rp.mean_na);
-  EXPECT_NEAR(rb.sigma_na, rp.sigma_na, kPathRelTol * rp.mean_na);
-}
-
 TEST(McPerfPath, ThreadedCheckpointedRunIsAllocationLean) {
   // The threaded checkpoint path must stream state through the reused writer
   // buffer instead of deep-copying worker slices: allocations per checkpoint
@@ -126,7 +60,7 @@ TEST(McPerfPath, SteadyStateTrialLoopDoesNotAllocateFixedStates) {
   math::Rng gen(79);
   const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 144, gen);
   const placement::Placement pl(&nl, grid(12, 12));
-  FullChipMcOptions opts;  // fixed states, bucketed
+  FullChipMcOptions opts;  // fixed states
   FullChipMonteCarlo mc(pl, mini_chars_analytic(), opts);
   math::Rng rng(5150);
   double sink = 0.0;
@@ -140,8 +74,8 @@ TEST(McPerfPath, SteadyStateTrialLoopDoesNotAllocateFixedStates) {
 }
 
 TEST(McPerfPath, SteadyStateTrialLoopDoesNotAllocateResampledStates) {
-  // Per-trial state resampling rebuilds the buckets every trial; all bucket
-  // arrays must reuse their capacity.
+  // Per-trial state resampling redraws every gate's table id each trial into
+  // the workspace, which must reuse its capacity.
   math::Rng gen(83);
   const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 144, gen);
   const placement::Placement pl(&nl, grid(12, 12));
@@ -158,23 +92,6 @@ TEST(McPerfPath, SteadyStateTrialLoopDoesNotAllocateResampledStates) {
   for (int t = 0; t < 100; ++t) sink += mc.sample_total_na(rng);
   const std::size_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "steady-state resampled trials allocated";
-  EXPECT_TRUE(std::isfinite(sink));
-}
-
-TEST(McPerfPath, PerGateSteadyStateAlsoDoesNotAllocate) {
-  math::Rng gen(89);
-  const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 64, gen);
-  const placement::Placement pl(&nl, grid(8, 8));
-  FullChipMcOptions opts;
-  opts.eval_path = McEvalPath::kPerGate;
-  FullChipMonteCarlo mc(pl, mini_chars_analytic(), opts);
-  math::Rng rng(5152);
-  double sink = 0.0;
-  for (int t = 0; t < 5; ++t) sink += mc.sample_total_na(rng);
-
-  const std::size_t before = allocation_count();
-  for (int t = 0; t < 50; ++t) sink += mc.sample_total_na(rng);
-  EXPECT_EQ(allocation_count() - before, 0u);
   EXPECT_TRUE(std::isfinite(sink));
 }
 

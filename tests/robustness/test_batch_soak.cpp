@@ -148,7 +148,6 @@ BatchOptions soak_options() {
   opts.isolate = ExecIsolation::kInProcess;
   opts.workers = 4;
   opts.queue_depth = 8;
-  opts.shed_policy = ShedPolicy::kBlock;  // soak measures isolation, not shedding
   opts.retry.max_attempts = 3;
   opts.retry.backoff.base_ms = 1.0;  // keep 200 jobs' worth of retries fast
   opts.retry.backoff.cap_ms = 5.0;
@@ -173,11 +172,10 @@ TEST(BatchSoak, ConcurrentRandomizedFailpointMatrix) {
   const BatchSummary s = run_batch(jobs, runner, journal, soak_options());
 
   // The process is alive and the queue drained: every job is accounted for
-  // exactly once, none interrupted (nothing requested a stop), none shed.
+  // exactly once, none interrupted (nothing requested a stop).
   EXPECT_EQ(s.total, 200u);
   EXPECT_EQ(s.accounted(), 200u);
   EXPECT_EQ(s.interrupted, 0u);
-  EXPECT_EQ(s.shed, 0u);
   EXPECT_FALSE(s.stopped);
   EXPECT_EQ(s.succeeded + s.failed, 200u);
 

@@ -28,6 +28,7 @@ std::string corpus(const char* file) {
 struct CorpusCase {
   const char* file;
   const char* needle;  // must appear in what()
+  std::size_t line = 0;  // trailer errors name the file's last line
 };
 
 const CorpusCase kMalformed[] = {
@@ -37,8 +38,15 @@ const CorpusCase kMalformed[] = {
     {"dup_worker.ckpt", "worker records out of order"},
     // Integrity-trailer corpus: a valid file whose trailer was bit-flipped,
     // and a file torn above a trailer that no longer matches its payload.
-    {"crc_mismatch.ckpt", "checksum mismatch"},
-    {"crc_truncated.ckpt", "checksum mismatch"},
+    {"crc_mismatch.ckpt", "checksum mismatch", 14},
+    {"crc_truncated.ckpt", "checksum mismatch", 14},
+    // The trailer is mandatory: a file without it, or whose trailer keyword
+    // was damaged (here alongside a tampered sample), never loads unverified.
+    {"no_trailer.ckpt", "missing checkpoint checksum trailer", 13},
+    {"bad_trailer_prefix.ckpt", "missing checkpoint checksum trailer", 14},
+    // The v1 layout's two Gaussian-spare tokens are reserved as "0 0".
+    {"nonzero_spare.ckpt", "reserved rng flag must be 0"},
+    {"data_after_end.ckpt", "unexpected data after 'end'"},
 };
 
 TEST(CheckpointCorpus, EveryMalformedFileFailsWithLocatedParseError) {
@@ -49,6 +57,7 @@ TEST(CheckpointCorpus, EveryMalformedFileFailsWithLocatedParseError) {
       ADD_FAILURE() << c.file << ": expected ParseError, load succeeded";
     } catch (const ParseError& e) {
       EXPECT_EQ(e.source(), path) << c.file;
+      EXPECT_EQ(e.line(), c.line) << c.file;
       const std::string what = e.what();
       EXPECT_NE(what.find(c.needle), std::string::npos) << c.file << ": " << what;
     } catch (const std::exception& e) {

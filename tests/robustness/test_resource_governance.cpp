@@ -144,7 +144,6 @@ TEST(ResourceGovernance, QuarterBudgetBatchCompletesWithTypedOutcomes) {
   EXPECT_EQ(s.total, 64u);
   EXPECT_EQ(s.accounted(), 64u);
   EXPECT_EQ(s.interrupted, 0u);
-  EXPECT_EQ(s.shed, 0u);
   EXPECT_FALSE(s.stopped);
   EXPECT_EQ(records.size(), 64u);
 

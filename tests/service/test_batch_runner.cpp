@@ -1,7 +1,7 @@
 // The batch orchestrator against synthetic executors: fault isolation,
 // retry/degrade/backoff mechanics (on a FakeClock — zero real sleeping),
-// budget exhaustion, stop semantics, resume skipping, watchdog deadlines,
-// and deterministic load shedding.
+// stop semantics, resume skipping, watchdog deadlines, and queue
+// backpressure.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "service/batch_runner.h"
-#include "util/backoff.h"
 #include "util/clock.h"
 #include "util/error.h"
 #include "util/run_control.h"
@@ -123,17 +122,18 @@ TEST(BatchRunner, PermanentFailureIsTerminalOnTheFirstAttempt) {
 
 TEST(BatchRunner, RetryableFailureWalksTheDegradeLadderOnTheExactBackoffSchedule) {
   // Fails at degrade 0 and 1, succeeds at 2: attempts = 3, retries = 2, and
-  // the two backoff sleeps must match the job's deterministic jitter stream.
-  FakeExecutor exec([](const JobSpec&, const util::RunControl*, int degrade) {
+  // the two backoff sleeps follow the doubling schedule base * 2^(k-1).
+  util::FakeClock clock;
+  std::vector<double> started_at;  // virtual time of each attempt
+  FakeExecutor exec([&](const JobSpec&, const util::RunControl*, int degrade) {
+    started_at.push_back(clock.now_ms());
     if (degrade < 2) throw NumericalError("transient nan");
     return ok_output(42.0);
   });
   Journal journal = Journal::open("");
-  util::FakeClock clock;
   BatchOptions opts;
   opts.clock = &clock;
   opts.retry.max_attempts = 4;
-  opts.jitter_seed = 0xfeedULL;
   opts.isolate = ExecIsolation::kInProcess;  // asserts on exec.degrades_for()
   const BatchSummary s = run_batch({job("flaky")}, exec, journal, opts);
 
@@ -145,35 +145,10 @@ TEST(BatchRunner, RetryableFailureWalksTheDegradeLadderOnTheExactBackoffSchedule
   EXPECT_TRUE(rec.error.empty());  // success clears the last attempt's error
   EXPECT_EQ(exec.degrades_for("flaky"), (std::vector<int>{0, 1, 2}));
 
-  // Reproduce the schedule the runner must have drawn: per-job seed is
-  // jitter_seed ^ FNV-1a(id), and sleeps are chunked at <= 25 ms.
-  util::BackoffState state =
-      util::backoff_state_for(opts.jitter_seed ^ util::backoff_job_hash("flaky"));
-  double expected = 0.0;
-  for (int i = 0; i < 2; ++i) expected += util::next_backoff_ms(opts.retry.backoff, state);
-  EXPECT_NEAR(clock.total_slept_ms(), expected, 1e-6);
-  for (double chunk : clock.sleeps()) EXPECT_LE(chunk, 25.0);  // cancellable chunks
-}
-
-TEST(BatchRunner, ExhaustedRetryBudgetMakesFailuresTerminal) {
-  FakeExecutor exec([](const JobSpec&, const util::RunControl*, int) -> JobOutput {
-    throw NumericalError("always fails");
-  });
-  Journal journal = Journal::open("");
-  util::FakeClock clock;
-  BatchOptions opts;
-  opts.clock = &clock;
-  opts.retry.max_attempts = 3;
-  opts.retry.batch_retry_budget = 1;  // one retry for the whole batch
-  const BatchSummary s = run_batch({job("a"), job("b")}, exec, journal, opts);
-
-  EXPECT_EQ(s.failed, 2u);
-  EXPECT_EQ(s.retries, 1u);
-  const auto records = journal.records();
-  // workers=1 runs jobs in order: "a" burns the budget (2 attempts), "b" is
-  // denied its first retry (1 attempt).
-  EXPECT_EQ(records.at("a").attempts, 2);
-  EXPECT_EQ(records.at("b").attempts, 1);
+  // Default policy (base 50 ms): 50 ms before retry 1, 100 ms before retry
+  // 2, each slept in cancellable chunks of at most 25 ms.
+  EXPECT_EQ(started_at, (std::vector<double>{0.0, 50.0, 150.0}));
+  EXPECT_EQ(clock.sleeps(), (std::vector<double>(6, 25.0)));
 }
 
 TEST(BatchRunner, ForeignExceptionIsRetriedAndRecordedAsInternal) {
@@ -291,7 +266,7 @@ TEST(BatchRunner, WatchdogDeadlineProducesAStructuredDeadlineFailure) {
   EXPECT_NE(rec.error.find("\"error\":\"deadline\""), std::string::npos) << rec.error;
 }
 
-TEST(BatchRunner, BlockPolicyAppliesBackpressureAndNeverSheds) {
+TEST(BatchRunner, QueueBoundAppliesBackpressure) {
   FakeExecutor exec(
       [](const JobSpec&, const util::RunControl*, int) { return ok_output(1.0); });
   Journal journal = Journal::open("");
@@ -299,49 +274,12 @@ TEST(BatchRunner, BlockPolicyAppliesBackpressureAndNeverSheds) {
   BatchOptions opts;
   opts.clock = &clock;
   opts.queue_depth = 1;
-  opts.shed_policy = ShedPolicy::kBlock;
   std::vector<JobSpec> jobs;
   for (int i = 0; i < 16; ++i) jobs.push_back(job("j" + std::to_string(i)));
   const BatchSummary s = run_batch(jobs, exec, journal, opts);
 
   EXPECT_EQ(s.succeeded, 16u);
-  EXPECT_EQ(s.shed, 0u);
   EXPECT_LE(s.queue_high_watermark, 1u);
-}
-
-TEST(BatchRunner, ConcurrentShedJobsGetStructuredRecords) {
-  // workers=1, capacity 1, reject-new: the first job blocks until a later job
-  // has been shed (only a shed can journal "b" or "c" while the single worker
-  // is still busy), so at least one shed record is guaranteed and the batch
-  // can never deadlock.
-  Journal journal = Journal::open("");
-  FakeExecutor exec([&journal](const JobSpec& j, const util::RunControl*, int) {
-    if (j.id == "slow") {
-      while (!journal.has("b") && !journal.has("c"))
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return ok_output(1.0);
-  });
-  BatchOptions opts;
-  opts.queue_depth = 1;
-  opts.shed_policy = ShedPolicy::kRejectNew;
-  // The "slow" lambda watches the journal from inside the executor — shared
-  // memory with the batch, so in-process only.
-  opts.isolate = ExecIsolation::kInProcess;
-  const BatchSummary s = run_batch({job("slow"), job("b"), job("c")}, exec, journal, opts);
-
-  EXPECT_GE(s.shed, 1u);
-  EXPECT_EQ(s.succeeded + s.shed, 3u);
-  EXPECT_EQ(s.accounted(), 3u);
-  EXPECT_EQ(journal.size(), 3u);  // every job terminal: ok or shed
-  bool saw_shed_record = false;
-  for (const auto& [id, rec] : journal.records()) {
-    if (rec.status != JobStatus::kShed) continue;
-    saw_shed_record = true;
-    EXPECT_NE(rec.error.find("\"error\":\"shed\""), std::string::npos) << id << ": " << rec.error;
-    EXPECT_NE(rec.error.find("reject-new"), std::string::npos) << rec.error;
-  }
-  EXPECT_TRUE(saw_shed_record);
 }
 
 TEST(BatchRunner, MisconfigurationIsAContractViolation) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "service/job.h"
+#include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
@@ -16,6 +17,23 @@ namespace {
 std::vector<JobSpec> parse(const std::string& text) {
   std::istringstream is(text);
   return parse_manifest(is, "jobs.jsonl");
+}
+
+/// A hand-written journal line with a valid "crc" field.
+std::string stamped(std::string record) {
+  util::append_crc_field(record);
+  return record;
+}
+
+/// The ParseError parse_journal_record throws for `text` at line 4.
+ParseError journal_error(const std::string& text) {
+  try {
+    (void)parse_journal_record(text, "j", 4);
+  } catch (const ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError for: " << text;
+  return ParseError("j", 0, 0, "none");
 }
 
 TEST(Manifest, ParsesJobsSkippingBlanksAndComments) {
@@ -87,21 +105,16 @@ TEST(JournalRecord, SucceededRoundTrips) {
   EXPECT_EQ(back.method, "exact_fft");
 }
 
-TEST(JournalRecord, FailedAndShedRoundTrip) {
+TEST(JournalRecord, FailedRoundTrip) {
   JobRecord rec;
   rec.id = "bad";
   rec.status = JobStatus::kFailed;
   rec.attempts = 3;
   rec.error = "{\"error\":\"numerical\",\"message\":\"nan \\\"quoted\\\"\"}";
-  JobRecord back = parse_journal_record(journal_record_json(rec), "j", 1);
+  const JobRecord back = parse_journal_record(journal_record_json(rec), "j", 1);
   EXPECT_EQ(back.status, JobStatus::kFailed);
   EXPECT_EQ(back.error, rec.error);
-
-  rec.status = JobStatus::kShed;
-  rec.attempts = 0;
-  back = parse_journal_record(journal_record_json(rec), "j", 1);
-  EXPECT_EQ(back.status, JobStatus::kShed);
-  EXPECT_EQ(back.attempts, 0);
+  EXPECT_EQ(back.attempts, 3);
 }
 
 TEST(JournalRecord, DegradationAndBeatsAreOptionalFields) {
@@ -129,10 +142,47 @@ TEST(JournalRecord, DegradationAndBeatsAreOptionalFields) {
 }
 
 TEST(JournalRecord, MalformedRecordsAreParseErrors) {
-  EXPECT_THROW(parse_journal_record("{\"job\":\"a\"}", "j", 4), ParseError);  // no status
-  EXPECT_THROW(parse_journal_record("{\"job\":\"a\",\"status\":\"meh\"}", "j", 4), ParseError);
+  const auto parse = [](const char* text) { return parse_journal_record(stamped(text), "j", 4); };
+  EXPECT_THROW(parse("{\"job\":\"a\"}"), ParseError);  // no status
+  EXPECT_THROW(parse("{\"job\":\"a\",\"status\":\"meh\"}"), ParseError);
   // A succeeded record without its payload is corrupt, not "mean zero".
-  EXPECT_THROW(parse_journal_record("{\"job\":\"a\",\"status\":\"ok\"}", "j", 4), ParseError);
+  EXPECT_THROW(parse("{\"job\":\"a\",\"status\":\"ok\"}"), ParseError);
+}
+
+TEST(JournalRecord, ShedStatusIsRefused) {
+  // "shed" is not a status this journal writes: a record holding it is
+  // refused with the status named, not silently re-run or counted as failed.
+  const ParseError e =
+      journal_error(stamped("{\"job\":\"a\",\"status\":\"shed\",\"attempts\":0}"));
+  EXPECT_EQ(e.line(), 4u);
+  EXPECT_EQ(e.token(), "shed");
+}
+
+TEST(JournalRecord, CrcFieldIsMandatoryWellFormedAndLast) {
+  const std::string good = stamped("{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":42}");
+  EXPECT_EQ(parse_journal_record(good, "j", 4).mean_na, 42.0);
+
+  // A crc digit that is not hex must not skip verification: the tampered
+  // payload below would otherwise load with mean 99.
+  std::string tampered = good;
+  tampered.replace(tampered.find("42"), 2, "99");
+  tampered[tampered.size() - 3] = 'z';
+  const ParseError non_hex = journal_error(tampered);
+  EXPECT_EQ(non_hex.line(), 4u);
+  EXPECT_NE(non_hex.message().find("malformed crc"), std::string::npos) << non_hex.what();
+
+  const ParseError missing =
+      journal_error("{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":42}");
+  EXPECT_EQ(missing.line(), 4u);
+  EXPECT_NE(missing.message().find("no \"crc\""), std::string::npos) << missing.what();
+
+  // The crc moved before another field.
+  const std::string crc = good.substr(good.find(",\"crc\""), 18);
+  const std::string moved =
+      "{\"job\":\"a\"" + crc.substr(0, crc.size() - 1) + ",\"status\":\"ok\",\"mean_na\":42}";
+  const ParseError not_last = journal_error(moved);
+  EXPECT_EQ(not_last.line(), 4u);
+  EXPECT_NE(not_last.message().find("last field"), std::string::npos) << not_last.what();
 }
 
 }  // namespace

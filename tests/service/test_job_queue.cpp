@@ -1,6 +1,6 @@
-// The bounded MPMC job queue: backpressure, both shed policies, close
-// semantics, and a TSan-covered concurrent accounting test (run by
-// scripts/tsan_check.sh via the *Concurrent* filter).
+// The bounded MPMC job queue: blocking backpressure, close semantics, and a
+// TSan-covered concurrent accounting test (run by scripts/tsan_check.sh via
+// the *Concurrent* filter).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "service/job_queue.h"
-#include "util/error.h"
 
 namespace rgleak::service {
 namespace {
@@ -24,17 +23,9 @@ JobSpec job(const std::string& id) {
   return j;
 }
 
-TEST(ShedPolicyParse, AcceptsTheThreeNamesAndRejectsTheRest) {
-  EXPECT_EQ(parse_shed_policy("block"), ShedPolicy::kBlock);
-  EXPECT_EQ(parse_shed_policy("reject-new"), ShedPolicy::kRejectNew);
-  EXPECT_EQ(parse_shed_policy("drop-oldest"), ShedPolicy::kDropOldest);
-  EXPECT_THROW(parse_shed_policy("yolo"), ConfigError);
-  EXPECT_THROW(parse_shed_policy(""), ConfigError);
-}
-
 TEST(JobQueue, FifoWithinCapacity) {
-  JobQueue q(4, ShedPolicy::kBlock);
-  for (const char* id : {"a", "b", "c"}) EXPECT_TRUE(q.push(job(id)).queued);
+  JobQueue q(4);
+  for (const char* id : {"a", "b", "c"}) EXPECT_TRUE(q.push(job(id)));
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.high_watermark(), 3u);
   EXPECT_EQ(q.pop()->id, "a");
@@ -42,49 +33,22 @@ TEST(JobQueue, FifoWithinCapacity) {
   EXPECT_EQ(q.pop()->id, "c");
 }
 
-TEST(JobQueue, RejectNewShedsTheIncomingJob) {
-  JobQueue q(2, ShedPolicy::kRejectNew);
-  EXPECT_TRUE(q.push(job("a")).queued);
-  EXPECT_TRUE(q.push(job("b")).queued);
-  const JobQueue::PushResult r = q.push(job("c"));
-  EXPECT_FALSE(r.queued);
-  ASSERT_TRUE(r.shed.has_value());
-  EXPECT_EQ(r.shed->id, "c");
-  EXPECT_EQ(q.shed_count(), 1u);
-  EXPECT_EQ(q.pop()->id, "a");  // queue content unchanged
-}
-
-TEST(JobQueue, DropOldestEvictsTheHeadToAdmit) {
-  JobQueue q(2, ShedPolicy::kDropOldest);
-  q.push(job("a"));
-  q.push(job("b"));
-  const JobQueue::PushResult r = q.push(job("c"));
-  EXPECT_TRUE(r.queued);
-  ASSERT_TRUE(r.shed.has_value());
-  EXPECT_EQ(r.shed->id, "a");
-  EXPECT_EQ(q.pop()->id, "b");
-  EXPECT_EQ(q.pop()->id, "c");
-}
-
 TEST(JobQueue, CloseDrainsThenEndsAndRefusesNewPushes) {
-  JobQueue q(4, ShedPolicy::kBlock);
+  JobQueue q(4);
   q.push(job("a"));
   q.close();
   q.close();  // idempotent
-  const JobQueue::PushResult r = q.push(job("b"));
-  EXPECT_FALSE(r.queued);
-  EXPECT_TRUE(r.closed);
-  EXPECT_FALSE(r.shed.has_value());  // refused, not shed: nothing to record
+  EXPECT_FALSE(q.push(job("b")));  // refused after close
   EXPECT_EQ(q.pop()->id, "a");
   EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(JobQueue, ConcurrentBlockingPushWaitsForSpace) {
-  JobQueue q(1, ShedPolicy::kBlock);
-  EXPECT_TRUE(q.push(job("a")).queued);
+  JobQueue q(1);
+  EXPECT_TRUE(q.push(job("a")));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(q.push(job("b")).queued);  // blocks until the pop below
+    EXPECT_TRUE(q.push(job("b")));  // blocks until the pop below
     pushed.store(true);
   });
   EXPECT_EQ(q.pop()->id, "a");
@@ -94,15 +58,13 @@ TEST(JobQueue, ConcurrentBlockingPushWaitsForSpace) {
 }
 
 TEST(JobQueue, ConcurrentCloseWakesBlockedProducerAndConsumers) {
-  JobQueue q(1, ShedPolicy::kBlock);
+  JobQueue q(1);
   q.push(job("a"));
   std::thread producer([&] {
     // Blocked on the full queue until either the consumer makes space or
     // close() wakes it — the interleaving decides which, so the assertion is
-    // only that exactly one outcome happened and the push returned at all.
-    const JobQueue::PushResult r = q.push(job("b"));
-    EXPECT_NE(r.queued, r.closed);
-    EXPECT_FALSE(r.shed.has_value());
+    // only that the push returned at all.
+    (void)q.push(job("b"));
   });
   std::thread consumer([&] {
     while (q.pop().has_value()) {
@@ -114,26 +76,18 @@ TEST(JobQueue, ConcurrentCloseWakesBlockedProducerAndConsumers) {
 }
 
 // Accounting under contention: with P producers and C consumers, every job is
-// either consumed exactly once or reported shed exactly once, the queue
-// drains empty, and nothing deadlocks — under every policy.
-void concurrent_accounting(ShedPolicy policy) {
+// consumed exactly once, the queue drains empty, and nothing deadlocks.
+TEST(JobQueue, ConcurrentAccountingBlock) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 200;
-  JobQueue q(8, policy);
+  JobQueue q(8);
 
-  std::mutex shed_mutex;
-  std::set<std::string> shed;
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const JobQueue::PushResult r = q.push(job(std::to_string(p) + ":" + std::to_string(i)));
-        if (r.shed.has_value()) {
-          std::lock_guard<std::mutex> lock(shed_mutex);
-          EXPECT_TRUE(shed.insert(r.shed->id).second) << "job shed twice";
-        }
-      }
+      for (int i = 0; i < kPerProducer; ++i)
+        EXPECT_TRUE(q.push(job(std::to_string(p) + ":" + std::to_string(i))));
     });
   }
 
@@ -154,17 +108,9 @@ void concurrent_accounting(ShedPolicy policy) {
   for (auto& t : consumers) t.join();
 
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.shed_count(), shed.size());
-  // Disjoint, and together they account for every pushed job.
-  for (const std::string& id : shed) EXPECT_EQ(popped.count(id), 0u) << id;
-  EXPECT_EQ(popped.size() + shed.size(),
-            static_cast<std::size_t>(kProducers) * kPerProducer);
+  EXPECT_EQ(popped.size(), static_cast<std::size_t>(kProducers) * kPerProducer);
   EXPECT_LE(q.high_watermark(), q.capacity());
 }
-
-TEST(JobQueue, ConcurrentAccountingBlock) { concurrent_accounting(ShedPolicy::kBlock); }
-TEST(JobQueue, ConcurrentAccountingRejectNew) { concurrent_accounting(ShedPolicy::kRejectNew); }
-TEST(JobQueue, ConcurrentAccountingDropOldest) { concurrent_accounting(ShedPolicy::kDropOldest); }
 
 }  // namespace
 }  // namespace rgleak::service

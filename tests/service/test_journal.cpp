@@ -10,6 +10,7 @@
 #include <string>
 
 #include "service/journal.h"
+#include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
@@ -21,6 +22,12 @@ using util::ScopedFailpoint;
 
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
+}
+
+/// A hand-written journal line with a valid "crc" field.
+std::string stamped(std::string record) {
+  util::append_crc_field(record);
+  return record;
 }
 
 JobRecord ok_record(const std::string& id, double mean) {
@@ -77,7 +84,7 @@ TEST(Journal, EmptyPathIsInMemoryOnly) {
 
 TEST(Journal, MalformedFilesAreRefusedWithLocatedErrors) {
   const std::string path = temp_path("rgleak_journal_bad.jsonl");
-  const auto write = [&](const char* text) {
+  const auto write = [&](const std::string& text) {
     std::ofstream os(path);
     os << text;
   };
@@ -91,7 +98,8 @@ TEST(Journal, MalformedFilesAreRefusedWithLocatedErrors) {
     EXPECT_EQ(e.line(), 1u);
   }
 
-  write("rgbatch-journal-v1\n{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}\n{\"job\":\"a\"");
+  write("rgbatch-journal-v1\n" + stamped("{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}") +
+        "\n{\"job\":\"a\"");
   try {
     (void)Journal::open(path);
     ADD_FAILURE() << "expected ParseError for torn record";
@@ -99,10 +107,8 @@ TEST(Journal, MalformedFilesAreRefusedWithLocatedErrors) {
     EXPECT_EQ(e.line(), 3u);
   }
 
-  write(
-      "rgbatch-journal-v1\n"
-      "{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}\n"
-      "{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":2}\n");
+  write("rgbatch-journal-v1\n" + stamped("{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}") +
+        "\n" + stamped("{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":2}") + "\n");
   try {
     (void)Journal::open(path);
     ADD_FAILURE() << "expected ParseError for duplicate record";
@@ -215,19 +221,26 @@ TEST(Journal, ChecksummedRecordsRoundTripAndCorruptOnesAreRefused) {
   }
 }
 
-TEST(Journal, LegacyRecordsWithoutChecksumStillLoad) {
-  // Journals written before record checksumming carry no "crc" field; they
-  // must keep loading so an upgrade never strands a half-finished batch.
-  const std::string path = temp_path("rgleak_journal_legacy.jsonl");
+TEST(Journal, RecordsWithoutChecksumAreRefused) {
+  // Every record written since checksumming carries a "crc" field; one
+  // without it cannot be told apart from a hand-edited or damaged line, so
+  // it is refused with the line located instead of loading unverified.
+  const std::string path = temp_path("rgleak_journal_no_crc.jsonl");
   {
     std::ofstream os(path);
     os << "rgbatch-journal-v1\n"
+       << stamped("{\"job\":\"new\",\"status\":\"ok\",\"mean_na\":1}") << "\n"
        << "{\"job\":\"old\",\"status\":\"ok\",\"attempts\":1,\"wall_ms\":1.0000,"
           "\"mean_na\":42,\"sigma_na\":4.2}\n";
   }
-  const Journal j = Journal::open(path);
-  EXPECT_EQ(j.size(), 1u);
-  EXPECT_EQ(j.records().at("old").mean_na, 42.0);
+  try {
+    (void)Journal::open(path);
+    ADD_FAILURE() << "expected ParseError for a record without \"crc\"";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.source(), path);
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_NE(std::string(e.what()).find("crc"), std::string::npos) << e.what();
+  }
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
 }

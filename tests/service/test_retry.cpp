@@ -1,12 +1,7 @@
-// Retry classification must follow the error taxonomy, and the shared batch
-// budget must hand out exactly as many retries as configured under
-// contention.
+// Retry classification must follow the error taxonomy, and the backoff
+// between attempts must double from the base up to the cap.
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <thread>
-#include <vector>
 
 #include "service/retry.h"
 #include "util/error.h"
@@ -26,39 +21,15 @@ TEST(Retryable, FollowsTheTaxonomy) {
   EXPECT_FALSE(retryable(ErrorCode::kContract));
 }
 
-TEST(RetryBudget, HandsOutExactlyTheBudget) {
-  RetryBudget budget(3);
-  EXPECT_EQ(budget.remaining(), 3u);
-  EXPECT_TRUE(budget.try_take());
-  EXPECT_TRUE(budget.try_take());
-  EXPECT_TRUE(budget.try_take());
-  EXPECT_FALSE(budget.try_take());
-  EXPECT_FALSE(budget.try_take());  // stays denied
-  EXPECT_EQ(budget.remaining(), 0u);
-}
-
-TEST(RetryBudget, ZeroBudgetDeniesTheFirstRetry) {
-  RetryBudget budget(0);
-  EXPECT_FALSE(budget.try_take());
-}
-
-TEST(RetryBudget, ConcurrentTakersNeverOverdraw) {
-  constexpr std::size_t kBudget = 100;
-  constexpr int kThreads = 8;
-  constexpr int kAttemptsPerThread = 50;  // 400 attempts chasing 100 retries
-  RetryBudget budget(kBudget);
-  std::atomic<std::size_t> granted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kAttemptsPerThread; ++i) {
-        if (budget.try_take()) granted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(granted.load(), kBudget);
-  EXPECT_EQ(budget.remaining(), 0u);
+TEST(RetryBackoff, DoublesFromTheBaseUpToTheCap) {
+  BackoffPolicy policy;
+  policy.base_ms = 40.0;
+  policy.cap_ms = 200.0;
+  EXPECT_EQ(backoff_ms(policy, 1), 40.0);
+  EXPECT_EQ(backoff_ms(policy, 2), 80.0);
+  EXPECT_EQ(backoff_ms(policy, 3), 160.0);
+  EXPECT_EQ(backoff_ms(policy, 4), 200.0);
+  EXPECT_EQ(backoff_ms(policy, 4000), 200.0);  // no overflow past the cap
 }
 
 }  // namespace

@@ -41,16 +41,9 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
-// Verifies the crc trailer exactly as journal readers do, then parses.
+// Verifies the crc field exactly as journal readers do, then parses.
 JsonObject parse_span(const std::string& line) {
-  constexpr std::size_t kCrcSuffixLen = 18;  // ,"crc":"xxxxxxxx"}
-  EXPECT_GT(line.size(), kCrcSuffixLen);
-  EXPECT_EQ(line.compare(line.size() - kCrcSuffixLen, 8, ",\"crc\":\""), 0);
-  std::uint32_t want = 0;
-  EXPECT_TRUE(util::parse_crc32_hex(line.substr(line.size() - 10, 8), want));
-  const std::string base = line.substr(0, line.size() - kCrcSuffixLen) + "}";
-  EXPECT_EQ(util::crc32(base), want) << line;
-  return parse_json_object(line, "trace", 1);
+  return parse_json_object(util::strip_crc_field(line, "trace", 1), "trace", 1);
 }
 
 class TraceFile {

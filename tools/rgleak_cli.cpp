@@ -81,17 +81,15 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "                 [--exact-method auto|direct|fft] [--threads N]\n"
                "                 [--time-budget SECONDS] [--cost-model BENCH.json]\n"
                "  rgleak mc --lib FILE --netlist FILE [--trials N] [--seed S]\n"
-               "            [--threads N] [--p VALUE] [--resample] [--eval bucketed|per-gate]\n"
+               "            [--threads N] [--p VALUE] [--resample]\n"
                "            [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n"
                "            [--time-budget SECONDS]\n"
                "  rgleak batch --manifest JOBS.jsonl [--journal FILE] [--workers N]\n"
                "               [--max-retries N] [--backoff MS] [--backoff-cap MS]\n"
-               "               [--retry-budget N] [--queue-depth N]\n"
-               "               [--shed-policy block|reject-new|drop-oldest]\n"
+               "               [--queue-depth N]\n"
                "               [--job-deadline SECONDS] [--stall-timeout SECONDS]\n"
                "               [--mem-budget auto|none|SIZE] [--cost-model BENCH.json]\n"
-               "               [--jitter-seed S] [--isolate in-process|process]\n"
-               "               [--isolate-grace SECONDS]\n"
+               "               [--isolate in-process|process] [--isolate-grace SECONDS]\n"
                "  rgleak gen-netlist --out FILE --gates N --usage SPEC [--seed S]\n"
                "  rgleak sweep --lib FILE --usage SPEC --die-um WxH\n"
                "               --gates-from N --gates-to N [--steps K]\n"
@@ -117,11 +115,12 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "              crashing job becomes a journaled failure (exit code 9 class)\n"
                "              instead of killing the batch. Default in-process, or the\n"
                "              RGLEAK_ISOLATE=process environment override.\n"
+               "backoff:      retry k of a job waits min(backoff-cap, backoff * 2^(k-1)) ms\n"
                "mem-budget SIZE: bytes with an optional k/m/g suffix, e.g. 512m;\n"
                "              auto = detect from cgroup / RLIMIT_AS, none = unlimited\n"
                "exit codes: 0 ok, 1 internal, 2 usage/config, 3 parse, 4 numerical, 5 io,\n"
                "            6 deadline/cancelled (SIGINT or --time-budget expiry),\n"
-               "            7 batch completed but some jobs failed or were shed,\n"
+               "            7 batch completed but some jobs failed,\n"
                "            8 resource (memory budget exceeded or allocation failed),\n"
                "            9 crash (a sandboxed job child died on a signal)\n");
   std::exit(2);
@@ -462,13 +461,6 @@ int cmd_mc(const std::map<std::string, std::string>& flags) {
   opts.threads = parse_count(flag(flags, "threads", "1"), "--threads");
   opts.signal_probability = parse_double(flag(flags, "p", "0.5"), "--p");
   opts.resample_states_per_trial = has_flag(flags, "resample");
-  const std::string eval_path = flag(flags, "eval", "bucketed");
-  if (eval_path == "bucketed")
-    opts.eval_path = mc::McEvalPath::kBucketed;
-  else if (eval_path == "per-gate")
-    opts.eval_path = mc::McEvalPath::kPerGate;
-  else
-    usage_exit("--eval must be 'bucketed' or 'per-gate'");
   if (has_flag(flags, "checkpoint")) opts.checkpoint_path = flag(flags, "checkpoint");
   opts.checkpoint_every = parse_count(flag(flags, "checkpoint-every", "0"), "--checkpoint-every");
   if (has_flag(flags, "resume")) opts.resume_path = flag(flags, "resume");
@@ -510,11 +502,8 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   opts.retry.backoff.cap_ms = parse_double(flag(flags, "backoff-cap", "5000"), "--backoff-cap");
   if (opts.retry.backoff.base_ms < 0.0 || opts.retry.backoff.cap_ms < opts.retry.backoff.base_ms)
     usage_exit("--backoff must be >= 0 and <= --backoff-cap");
-  if (has_flag(flags, "retry-budget"))
-    opts.retry.batch_retry_budget = parse_count(flag(flags, "retry-budget"), "--retry-budget");
   opts.queue_depth = parse_count(flag(flags, "queue-depth", "32"), "--queue-depth");
   if (opts.queue_depth == 0) usage_exit("--queue-depth must be positive");
-  opts.shed_policy = service::parse_shed_policy(flag(flags, "shed-policy", "block"));
   opts.workers = parse_count(flag(flags, "workers", "0"), "--workers");
   if (has_flag(flags, "job-deadline")) {
     opts.job_deadline_s = parse_double(flag(flags, "job-deadline"), "--job-deadline");
@@ -524,8 +513,6 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
     opts.stall_timeout_s = parse_double(flag(flags, "stall-timeout"), "--stall-timeout");
     if (opts.stall_timeout_s <= 0.0) usage_exit("--stall-timeout must be positive");
   }
-  opts.jitter_seed =
-      static_cast<std::uint64_t>(parse_int(flag(flags, "jitter-seed", "24029"), "--jitter-seed"));
   opts.run = &g_run;
 
   // Attempt isolation. The flag default stays kDefault (not kInProcess) so
@@ -569,8 +556,6 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   std::printf("\n");
   std::printf("succeeded    : %zu\n", s.succeeded);
   std::printf("failed       : %zu\n", s.failed);
-  if (s.shed > 0) std::printf("shed         : %zu (policy %s)\n", s.shed,
-                              service::shed_policy_name(opts.shed_policy));
   if (s.retries > 0) std::printf("retries      : %zu\n", s.retries);
   if (s.stalls > 0) std::printf("stalls       : %zu (cancelled by the stall watchdog)\n", s.stalls);
   if (s.crashes > 0)

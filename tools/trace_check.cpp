@@ -10,8 +10,8 @@
 //
 // Checks, in order:
 //   * every line parses as a flat JSON object with the required fields;
-//   * the crc trailer verifies (same convention as journal records: CRC32 of
-//     the record as rendered without the crc field);
+//   * the crc field verifies (util::strip_crc_field, the journal-record
+//     convention);
 //   * span ids are unique;
 //   * wall_ns >= 0 and t_ns > 0;
 //   * every non-empty parent ref resolves to a span in the file;
@@ -92,30 +92,6 @@ void fail(std::size_t line, const std::string& msg) {
     std::fprintf(stderr, "trace_check: line %zu: %s\n", line, msg.c_str());
 }
 
-// Verifies and strips the crc trailer; journal convention (service/job.cpp):
-// the crc is computed over the record as rendered WITHOUT the trailer, i.e.
-// base = line minus the 18-char `,"crc":"xxxxxxxx"}` suffix plus `}`.
-bool check_crc(const std::string& body, std::size_t line) {
-  constexpr std::size_t kCrcSuffixLen = 18;  // ,"crc":"xxxxxxxx"}
-  if (body.size() <= kCrcSuffixLen ||
-      body.compare(body.size() - kCrcSuffixLen, 8, ",\"crc\":\"") != 0 ||
-      body.back() != '}' || body[body.size() - 2] != '"') {
-    fail(line, "missing crc trailer");
-    return false;
-  }
-  std::uint32_t want = 0;
-  if (!rgleak::util::parse_crc32_hex(body.substr(body.size() - 10, 8), want)) {
-    fail(line, "malformed crc trailer");
-    return false;
-  }
-  const std::string base = body.substr(0, body.size() - kCrcSuffixLen) + "}";
-  if (rgleak::util::crc32(base) != want) {
-    fail(line, "crc mismatch (record corrupt or truncated)");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,17 +132,16 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    if (!check_crc(line, lineno)) continue;
     JsonObject obj;
     try {
-      obj = parse_json_object(line, path, lineno);
+      obj = parse_json_object(rgleak::util::strip_crc_field(line, path, lineno), path, lineno);
     } catch (const rgleak::Error& e) {
-      fail(lineno, "not a JSON object: " + e.message());
+      fail(lineno, e.message());
       continue;
     }
     bool complete = true;
     for (const char* key : {"span", "parent", "name", "job", "attempt", "t_ns", "wall_ns",
-                            "outcome", "crc"}) {
+                            "outcome"}) {
       if (obj.find(key) == obj.end()) {
         fail(lineno, std::string("missing field \"") + key + "\"");
         complete = false;

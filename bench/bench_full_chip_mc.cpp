@@ -226,15 +226,24 @@ int run_smoke() {
   // multi-run excursions — so the estimate is the MINIMUM over two
   // independent estimators: best-of-N wall and best-of-N CPU, interleaved,
   // on 4x-length runs. A real regression inflates both clocks at once;
-  // noise essentially never does.
+  // noise essentially never does. The pair order alternates between reps,
+  // so a position effect (caches, frequency ramps) lands on both sides.
   mc::FullChipMcOptions metrics_on_long = serial;
   metrics_on_long.trials = base.trials * 4;
   mc::FullChipMcOptions metrics_off_long = metrics_off;
   metrics_off_long.trials = base.trials * 4;
   double on_wall = 1e300, on_cpu = 1e300, off_wall = 1e300, off_cpu = 1e300;
   for (int r = 0; r < 9; ++r) {
-    const auto [w_on, c_on] = run_once_both(pl, metrics_on_long);
-    const auto [w_off, c_off] = run_once_both(pl, metrics_off_long);
+    std::pair<double, double> on, off;
+    if (r % 2 == 0) {
+      on = run_once_both(pl, metrics_on_long);
+      off = run_once_both(pl, metrics_off_long);
+    } else {
+      off = run_once_both(pl, metrics_off_long);
+      on = run_once_both(pl, metrics_on_long);
+    }
+    const auto [w_on, c_on] = on;
+    const auto [w_off, c_off] = off;
     on_wall = std::min(on_wall, w_on);
     on_cpu = std::min(on_cpu, c_on);
     off_wall = std::min(off_wall, w_off);

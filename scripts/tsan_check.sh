@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive tests: the thread pool,
-# the parallel/concurrent exact-estimator paths, threaded Monte Carlo, the
-# parallel cell characterizers, and the batch service layer (MPMC job queue,
-# concurrent batch soak).
+# the shared FFT plan, the parallel/concurrent exact-estimator paths, threaded
+# Monte Carlo, the parallel cell characterizers, and the batch service layer
+# (MPMC job queue, concurrent batch soak).
 # Part of the tier-1 verify flow (see ROADMAP.md). Uses its own build tree so
 # the regular build stays uninstrumented.
 set -euo pipefail
@@ -10,13 +10,16 @@ cd "$(dirname "$0")/.."
 
 BUILD=build-tsan
 cmake -B "$BUILD" -S . -DRGLEAK_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --target util_tests charlib_tests core_tests mc_tests service_tests \
-  robustness_tests -j "$(nproc)"
+cmake --build "$BUILD" --target util_tests math_tests charlib_tests core_tests mc_tests \
+  service_tests robustness_tests -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # *Metrics*: the lock-free instruments (relaxed counters/histograms, the
 # registry mutex, snapshot readers racing recorders) under real threads.
 "$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:*Metrics*'
+# MC workers share one immutable FftPlan2D; every buffer the transform
+# touches must belong to the calling thread.
+"$BUILD"/tests/math_tests --gtest_filter='FftPlan2D.ConcurrentSharedPlan'
 # Both characterizers fan (cell, state) pairs out over the pool, writing
 # per-pair slots and the charlib.* metrics from every worker.
 "$BUILD"/tests/charlib_tests --gtest_filter='*Characteriz*'

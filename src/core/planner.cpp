@@ -254,16 +254,19 @@ std::uint64_t Planner::exact_direct_bytes(std::size_t gates, std::size_t rows, s
 }
 
 std::uint64_t Planner::exact_fft_bytes(std::size_t rows, std::size_t cols, std::size_t types) {
-  const std::uint64_t pad = static_cast<std::uint64_t>(math::next_pow2(2 * rows - 1)) *
-                            math::next_pow2(2 * cols - 1);
+  const std::uint64_t pad_rows = math::next_pow2(2 * rows - 1);
+  const std::uint64_t pad_cols = math::next_pow2(2 * cols - 1);
+  const std::uint64_t pad = pad_rows * pad_cols;
   const std::uint64_t sites = static_cast<std::uint64_t>(rows) * cols;
   const std::uint64_t out = static_cast<std::uint64_t>(2 * rows - 1) * (2 * cols - 1);
   const std::uint64_t t = types > 0 ? types : 1;
-  // Per type: occupancy grid + retained forward transform. Plus transform /
-  // correlate scratch (two padded complex grids live at once), the
-  // correlation output, and the per-offset rho and cov tables.
+  // Per type: occupancy grid + retained forward transform. Plus the
+  // correlate product grid and the 2-D FFT's column tiles (charged together
+  // as two padded complex grids), the correlator's plan twiddles (under one
+  // complex value per padded row and column), the correlation output, and
+  // the per-offset rho and cov tables.
   return t * (sites * sizeof(double) + pad * sizeof(std::complex<double>)) +
-         2 * pad * sizeof(std::complex<double>) + out * sizeof(double) +
+         (2 * pad + pad_rows + pad_cols) * sizeof(std::complex<double>) + out * sizeof(double) +
          2 * sites * sizeof(double);
 }
 

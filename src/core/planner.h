@@ -81,9 +81,9 @@ class Planner {
 
   /// Arenas of ExactEstimator::estimate_fft: per-type occupancy grids and
   /// padded forward transforms (padding next_pow2(2n-1) per axis), transform
-  /// scratch, the correlation output, and the rho/cov offset grids. `types`
-  /// is the number of distinct cell types placed (pass the library size for
-  /// a conservative preflight).
+  /// scratch, the FFT plan, the correlation output, and the rho/cov offset
+  /// grids. `types` is the number of distinct cell types placed (pass the
+  /// library size for a conservative preflight).
   static std::uint64_t exact_fft_bytes(std::size_t rows, std::size_t cols, std::size_t types);
 
   /// Per-worker arenas of the MC engine: the worker's field-sampler copy

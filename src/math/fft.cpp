@@ -1,6 +1,8 @@
 #include "math/fft.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/failpoint.h"
 #include "util/require.h"
@@ -8,141 +10,99 @@
 namespace rgleak::math {
 
 namespace {
+
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-}  // namespace
 
-std::size_t next_pow2(std::size_t n) {
-  RGLEAK_REQUIRE(n >= 1, "next_pow2 needs n >= 1");
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+// The kernel works on interleaved (re, im) doubles — the layout a
+// std::complex<double> array is guaranteed to have — with the complex
+// arithmetic written out: std::complex's operator* carries a NaN fix-up call
+// (__muldc3) on every multiply unless -ffast-math is on.
+struct Cx {
+  double re, im;
+};
+inline Cx ld(const double* p) { return {p[0], p[1]}; }
+inline void st(double* p, Cx v) {
+  p[0] = v.re;
+  p[1] = v.im;
 }
-
-void fft(std::vector<std::complex<double>>& a, bool inverse) {
-  const std::size_t n = a.size();
-  RGLEAK_REQUIRE(is_pow2(n), "fft size must be a power of two");
-  if (n <= 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = 2.0 * M_PI / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
-    const std::complex<double> wl(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wl;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& x : a) x *= inv;
-  }
-}
-
-void fft2d(std::vector<std::complex<double>>& data, std::size_t rows, std::size_t cols,
-           bool inverse) {
-  RGLEAK_REQUIRE(data.size() == rows * cols, "fft2d: data size mismatch");
-  RGLEAK_REQUIRE(is_pow2(rows) && is_pow2(cols), "fft2d dims must be powers of two");
-
-  std::vector<std::complex<double>> scratch(std::max(rows, cols));
-  // Rows.
-  for (std::size_t r = 0; r < rows; ++r) {
-    scratch.assign(data.begin() + static_cast<std::ptrdiff_t>(r * cols),
-                   data.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-    fft(scratch, inverse);
-    std::copy(scratch.begin(), scratch.end(),
-              data.begin() + static_cast<std::ptrdiff_t>(r * cols));
-  }
-  // Columns.
-  for (std::size_t c = 0; c < cols; ++c) {
-    scratch.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r) scratch[r] = data[r * cols + c];
-    fft(scratch, inverse);
-    for (std::size_t r = 0; r < rows; ++r) data[r * cols + c] = scratch[r];
-  }
-}
-
-FftPlan::FftPlan(std::size_t n) : n_(n) {
-  RGLEAK_REQUIRE(is_pow2(n), "fft plan size must be a power of two");
-  // The twiddle/bit-reversal tables are the plan's arena; an injected (or
-  // real) bad_alloc here is translated to ResourceError by callers.
-  RGLEAK_FAILPOINT("math.fft.plan.alloc");
-  bitrev_.resize(n);
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    bitrev_[i] = static_cast<std::uint32_t>(j);
-  }
-  if (n >= 2) {
-    twiddle_.resize(n - 1);
-    std::size_t off = 0;
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const double ang = -2.0 * M_PI / static_cast<double>(len);
-      for (std::size_t k = 0; k < len / 2; ++k)
-        twiddle_[off + k] = std::polar(1.0, ang * static_cast<double>(k));
-      off += len / 2;
-    }
-  }
-}
-
+inline Cx operator+(Cx a, Cx b) { return {a.re + b.re, a.im + b.im}; }
+inline Cx operator-(Cx a, Cx b) { return {a.re - b.re, a.im - b.im}; }
+inline Cx scaled(Cx a, double k) { return {a.re * k, a.im * k}; }
+/// a * w forward, a * conj(w) inverse.
 template <bool Inverse>
-void FftPlan::run_impl(std::complex<double>* a) const {
-  const std::size_t n = n_;
-  if (n <= 1) return;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  std::size_t off = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::complex<double>* tw = twiddle_.data() + off;
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const std::complex<double> w = Inverse ? std::conj(tw[k]) : tw[k];
-        const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + half] * w;
-        a[i + k] = u + v;
-        a[i + k + half] = u - v;
-      }
+inline Cx twiddle(Cx a, Cx w) {
+  if constexpr (Inverse) return {a.re * w.re + a.im * w.im, a.im * w.re - a.re * w.im};
+  return {a.re * w.re - a.im * w.im, a.re * w.im + a.im * w.re};
+}
+/// -i * a forward, +i * a inverse: the odd DFT-4 rotation.
+template <bool Inverse>
+inline Cx rot(Cx a) {
+  if constexpr (Inverse) return {-a.im, a.re};
+  return {a.im, -a.re};
+}
+
+/// DFT-4 of (a, b, c, d) in output order 0..3.
+template <bool Inverse>
+inline void dft4(Cx a, Cx b, Cx c, Cx d, Cx& y0, Cx& y1, Cx& y2, Cx& y3) {
+  const Cx apc = a + c, amc = a - c, bpd = b + d, jbmd = rot<Inverse>(b - d);
+  y0 = apc + bpd;
+  y1 = amc + jbmd;
+  y2 = apc - bpd;
+  y3 = amc - jbmd;
+}
+
+/// One twiddled Stockham radix-4 stage over sub-transforms of length 4m at
+/// stride s (decimation in frequency):
+///   y[q + s(4p + k)] = w^{kp} * DFT4_k(x[q + s(p + jm)], j = 0..3).
+template <bool Inverse>
+void radix4_stage(const double* x, double* y, std::size_t m, std::size_t s, const double* tw) {
+  const std::size_t sm = 2 * s * m;  // doubles between the four inputs
+  for (std::size_t p = 0; p < m; ++p) {
+    const Cx w1 = ld(tw + 6 * p), w2 = ld(tw + 6 * p + 2), w3 = ld(tw + 6 * p + 4);
+    const double* xp = x + 2 * s * p;
+    double* yp = y + 8 * s * p;
+    for (std::size_t q = 0; q < 2 * s; q += 2) {
+      Cx y0, y1, y2, y3;
+      dft4<Inverse>(ld(xp + q), ld(xp + q + sm), ld(xp + q + 2 * sm), ld(xp + q + 3 * sm), y0, y1,
+                    y2, y3);
+      st(yp + q, y0);
+      st(yp + q + 2 * s, twiddle<Inverse>(y1, w1));
+      st(yp + q + 4 * s, twiddle<Inverse>(y2, w2));
+      st(yp + q + 6 * s, twiddle<Inverse>(y3, w3));
     }
-    off += half;
-  }
-  if (Inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) a[i] *= inv;
   }
 }
 
-void FftPlan::run(std::complex<double>* a, bool inverse) const {
-  if (inverse)
-    run_impl<true>(a);
-  else
-    run_impl<false>(a);
+/// The last stage (length 4 or 2, unit twiddles): butterfly q reads and
+/// writes only positions q + s*k, so it runs in place as well as out of
+/// place. `scale` folds the inverse 1/n into the stage.
+template <bool Inverse>
+void last_stage(const double* x, double* y, std::size_t len, std::size_t s, double scale) {
+  const auto out = [scale](Cx v) { return Inverse ? scaled(v, scale) : v; };
+  if (len == 4) {
+    for (std::size_t q = 0; q < 2 * s; q += 2) {
+      Cx y0, y1, y2, y3;
+      dft4<Inverse>(ld(x + q), ld(x + q + 2 * s), ld(x + q + 4 * s), ld(x + q + 6 * s), y0, y1,
+                    y2, y3);
+      st(y + q, out(y0));
+      st(y + q + 2 * s, out(y1));
+      st(y + q + 4 * s, out(y2));
+      st(y + q + 6 * s, out(y3));
+    }
+  } else {
+    for (std::size_t q = 0; q < 2 * s; q += 2) {
+      const Cx a = ld(x + q), b = ld(x + q + 2 * s);
+      st(y + q, out(a + b));
+      st(y + q + 2 * s, out(a - b));
+    }
+  }
 }
-
-namespace {
 
 /// Cache-blocked out-of-place transpose of a rows x cols row-major array,
 /// writing only the first `dst_rows` rows of the transposed result (i.e. the
-/// first dst_rows columns of src). The 2-D plans use it to turn strided
-/// column transforms into contiguous row transforms — a power-of-two row
-/// stride would otherwise map a whole column onto a handful of L1 sets — and
-/// the output-pruned paths use dst_rows to skip the back-transpose of rows
-/// nobody will read.
+/// first dst_rows columns of src). The column-major 2-D path uses it to
+/// bring its column-pass results back to rows, and dst_rows to skip the
+/// back-transpose of rows nobody will read.
 void blocked_transpose(const std::complex<double>* src, std::complex<double>* dst,
                        std::size_t rows, std::size_t cols, std::size_t dst_rows) {
   constexpr std::size_t kBlock = 16;
@@ -157,25 +117,85 @@ void blocked_transpose(const std::complex<double>* src, std::complex<double>* ds
   }
 }
 
+/// Linear-correlation padding of one axis: no wrap-around for any offset.
+std::size_t correlation_pad(std::size_t n) {
+  RGLEAK_REQUIRE(n >= 1, "cross-correlation needs a non-empty grid");
+  return next_pow2(2 * n - 1);
+}
+
 }  // namespace
+
+std::size_t next_pow2(std::size_t n) {
+  RGLEAK_REQUIRE(n >= 1, "next_pow2 needs n >= 1");
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+FftPlan::FftPlan(std::size_t n) : n_(n) {
+  RGLEAK_REQUIRE(is_pow2(n), "fft plan size must be a power of two");
+  // The twiddle table is the plan's arena; an injected (or real) bad_alloc
+  // here is translated to ResourceError by callers.
+  RGLEAK_FAILPOINT("math.fft.plan.alloc");
+  std::size_t entries = 0;
+  for (std::size_t len = n; len > 4; len /= 4) entries += 3 * (len / 4);
+  twiddle_.reserve(entries);
+  for (std::size_t len = n; len > 4; len /= 4)
+    for (std::size_t p = 0; p < len / 4; ++p)
+      for (std::size_t k = 1; k <= 3; ++k)
+        twiddle_.push_back(std::polar(
+            1.0, -2.0 * M_PI * static_cast<double>(k * p) / static_cast<double>(len)));
+}
+
+template <bool Inverse>
+void FftPlan::run_impl(double* a, double* work) const {
+  if (n_ <= 1) return;
+  // Twiddled stages ping-pong a -> work -> a ...; the in-place-capable last
+  // stage then always lands the result back in `a`.
+  const double* tw = reinterpret_cast<const double*>(twiddle_.data());
+  double* src = a;
+  double* dst = work;
+  std::size_t len = n_, s = 1;
+  for (; len > 4; len /= 4, s *= 4) {
+    radix4_stage<Inverse>(src, dst, len / 4, s, tw);
+    tw += 2 * 3 * (len / 4);
+    std::swap(src, dst);
+  }
+  last_stage<Inverse>(src, a, len, s, 1.0 / static_cast<double>(n_));
+}
+
+void FftPlan::run(std::complex<double>* a, bool inverse, std::complex<double>* work) const {
+  double* ar = reinterpret_cast<double*>(a);
+  double* wr = reinterpret_cast<double*>(work);
+  if (inverse)
+    run_impl<true>(ar, wr);
+  else
+    run_impl<false>(ar, wr);
+}
 
 FftPlan2D::FftPlan2D(std::size_t rows, std::size_t cols) : row_fft_(cols), col_fft_(rows) {}
 
 void FftPlan2D::run(std::vector<std::complex<double>>& data, bool inverse,
                     std::vector<std::complex<double>>& scratch) const {
-  run_top_rows(data, inverse, scratch, rows());
-}
-
-void FftPlan2D::run_top_rows(std::vector<std::complex<double>>& data, bool inverse,
-                             std::vector<std::complex<double>>& scratch,
-                             std::size_t keep_rows) const {
   const std::size_t r_n = rows(), c_n = cols();
   RGLEAK_REQUIRE(data.size() == r_n * c_n, "fft2d plan: data size mismatch");
-  // Column pass first so the (possibly pruned) row pass is the final one:
-  // output row r then depends only on intermediate row r.
-  scratch.resize(r_n * c_n);
-  blocked_transpose(data.data(), scratch.data(), r_n, c_n, c_n);
-  run_top_rows_colmajor(scratch, inverse, data, keep_rows);
+  // In place, columns first like run_top_rows_colmajor, so both paths do the
+  // same arithmetic on the same values. Columns go kTile at a time through
+  // contiguous lines: a 16-wide gather reads whole cache lines, where a
+  // single power-of-two-strided column maps onto a handful of L1 sets.
+  constexpr std::size_t kTile = 16;
+  const std::size_t tile = std::min(kTile, c_n);  // both powers of two: divides c_n
+  scratch.resize(tile * r_n + std::max(r_n, c_n));
+  std::complex<double>* lines = scratch.data();
+  std::complex<double>* work = lines + tile * r_n;
+  for (std::size_t c0 = 0; c0 < c_n; c0 += tile) {
+    for (std::size_t r = 0; r < r_n; ++r)
+      for (std::size_t j = 0; j < tile; ++j) lines[j * r_n + r] = data[r * c_n + c0 + j];
+    for (std::size_t j = 0; j < tile; ++j) col_fft_.run(lines + j * r_n, inverse, work);
+    for (std::size_t r = 0; r < r_n; ++r)
+      for (std::size_t j = 0; j < tile; ++j) data[r * c_n + c0 + j] = lines[j * r_n + r];
+  }
+  for (std::size_t r = 0; r < r_n; ++r) row_fft_.run(data.data() + r * c_n, inverse, work);
 }
 
 void FftPlan2D::run_top_rows_colmajor(std::vector<std::complex<double>>& data, bool inverse,
@@ -184,38 +204,37 @@ void FftPlan2D::run_top_rows_colmajor(std::vector<std::complex<double>>& data, b
   const std::size_t r_n = rows(), c_n = cols();
   RGLEAK_REQUIRE(data.size() == r_n * c_n, "fft2d plan: data size mismatch");
   out.resize(r_n * c_n);
-  for (std::size_t c = 0; c < c_n; ++c) col_fft_.run(data.data() + c * r_n, inverse);
   const std::size_t kr = std::min(keep_rows, r_n);
+  // `out` is idle until the transpose and `data` after it: each lends its
+  // head as the 1-D passes' ping-pong line.
+  for (std::size_t c = 0; c < c_n; ++c) col_fft_.run(data.data() + c * r_n, inverse, out.data());
   blocked_transpose(data.data(), out.data(), c_n, r_n, kr);
-  for (std::size_t r = 0; r < kr; ++r) row_fft_.run(out.data() + r * c_n, inverse);
+  for (std::size_t r = 0; r < kr; ++r) row_fft_.run(out.data() + r * c_n, inverse, data.data());
 }
 
 CrossCorrelator2D::CrossCorrelator2D(std::size_t rows, std::size_t cols)
-    : rows_(rows),
-      cols_(cols),
-      pad_rows_(next_pow2(2 * rows - 1)),
-      pad_cols_(next_pow2(2 * cols - 1)) {
-  RGLEAK_REQUIRE(rows >= 1 && cols >= 1, "cross-correlation needs a non-empty grid");
-}
+    : rows_(rows), cols_(cols), plan_(correlation_pad(rows), correlation_pad(cols)) {}
 
 std::vector<std::complex<double>> CrossCorrelator2D::transform(
     const std::vector<double>& grid) const {
   RGLEAK_REQUIRE(grid.size() == rows_ * cols_, "cross-correlation: grid size mismatch");
-  std::vector<std::complex<double>> padded(pad_rows_ * pad_cols_);
+  const std::size_t pad_cols = plan_.cols();
+  std::vector<std::complex<double>> padded(plan_.rows() * pad_cols), scratch;
   for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) padded[r * pad_cols_ + c] = grid[r * cols_ + c];
-  fft2d(padded, pad_rows_, pad_cols_, /*inverse=*/false);
+    for (std::size_t c = 0; c < cols_; ++c) padded[r * pad_cols + c] = grid[r * cols_ + c];
+  plan_.run(padded, /*inverse=*/false, scratch);
   return padded;
 }
 
 std::vector<double> CrossCorrelator2D::correlate(
     const std::vector<std::complex<double>>& fa,
     const std::vector<std::complex<double>>& fb) const {
-  RGLEAK_REQUIRE(fa.size() == pad_rows_ * pad_cols_ && fb.size() == fa.size(),
+  const std::size_t pad_rows = plan_.rows(), pad_cols = plan_.cols();
+  RGLEAK_REQUIRE(fa.size() == pad_rows * pad_cols && fb.size() == fa.size(),
                  "cross-correlation: transform size mismatch");
-  std::vector<std::complex<double>> prod(fa.size());
+  std::vector<std::complex<double>> prod(fa.size()), scratch;
   for (std::size_t i = 0; i < fa.size(); ++i) prod[i] = std::conj(fa[i]) * fb[i];
-  fft2d(prod, pad_rows_, pad_cols_, /*inverse=*/true);
+  plan_.run(prod, /*inverse=*/true, scratch);
 
   // Circular result: offset (dr, dc) lives at ((dr mod R), (dc mod C)); the
   // padding guarantees the residues of the valid offsets are distinct.
@@ -223,14 +242,14 @@ std::vector<double> CrossCorrelator2D::correlate(
   for (std::ptrdiff_t dr = -(static_cast<std::ptrdiff_t>(rows_) - 1);
        dr < static_cast<std::ptrdiff_t>(rows_); ++dr) {
     const std::size_t src_r =
-        static_cast<std::size_t>(dr + static_cast<std::ptrdiff_t>(pad_rows_)) % pad_rows_;
+        static_cast<std::size_t>(dr + static_cast<std::ptrdiff_t>(pad_rows)) % pad_rows;
     for (std::ptrdiff_t dc = -(static_cast<std::ptrdiff_t>(cols_) - 1);
          dc < static_cast<std::ptrdiff_t>(cols_); ++dc) {
       const std::size_t src_c =
-          static_cast<std::size_t>(dc + static_cast<std::ptrdiff_t>(pad_cols_)) % pad_cols_;
+          static_cast<std::size_t>(dc + static_cast<std::ptrdiff_t>(pad_cols)) % pad_cols;
       out[static_cast<std::size_t>(dr + static_cast<std::ptrdiff_t>(rows_) - 1) * out_cols() +
           static_cast<std::size_t>(dc + static_cast<std::ptrdiff_t>(cols_) - 1)] =
-          prod[src_r * pad_cols_ + src_c].real();
+          prod[src_r * pad_cols + src_c].real();
     }
   }
   return out;

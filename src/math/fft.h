@@ -1,68 +1,59 @@
 #pragma once
-// Radix-2 complex FFT (1-D and 2-D). Substrate for the circulant-embedding
-// sampler of spatially correlated channel-length fields (process module).
+// Complex FFT plans (1-D and 2-D, power-of-two lengths): a Stockham radix-4
+// kernel with one trailing radix-2 stage for odd log2 sizes. Substrate for
+// the circulant-embedding sampler of spatially correlated channel-length
+// fields (process module) and the exact estimator's cross-correlations.
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace rgleak::math {
 
-/// In-place iterative radix-2 Cooley–Tukey FFT. Size must be a power of two.
-/// `inverse` applies the conjugate transform and 1/N scaling.
-void fft(std::vector<std::complex<double>>& data, bool inverse);
-
-/// 2-D FFT over a rows x cols row-major array; both dims must be powers of two.
-void fft2d(std::vector<std::complex<double>>& data, std::size_t rows, std::size_t cols,
-           bool inverse);
-
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
 
-/// Precomputed radix-2 FFT plan for one power-of-two length: the twiddle
-/// factors and the bit-reversal permutation are hoisted out of the transform.
-/// This removes the sequential `w *= w_len` recurrence from the butterfly
-/// inner loop (a long dependency chain that also accumulates rounding error),
-/// and makes run() allocation-free — the substrate for the Monte-Carlo
-/// engine's per-worker FFT workspaces.
+/// Precomputed FFT plan for one power-of-two length. The transform is a
+/// Stockham autosort: each radix-4 stage reads one buffer and writes the
+/// other in natural order (no bit-reversal pass), so a 512-point transform
+/// makes 5 passes over memory instead of radix-2's 9 plus a permutation.
+/// Per-stage twiddles are precomputed (no `w *= w_len` recurrence), and the
+/// complex arithmetic is written out in re/im form.
+///
+/// Immutable after construction and shared between threads: the ping-pong
+/// line is caller-owned, so run() is allocation-free and race-free.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);  // n must be a power of two
 
   std::size_t size() const { return n_; }
 
-  /// Bytes held by the precomputed tables (twiddles + bit-reversal). The
-  /// memory cost model charges plans by this, not by transform length, so
-  /// budget accounting matches what the plan actually pins.
-  std::size_t plan_bytes() const {
-    return bitrev_.capacity() * sizeof(std::uint32_t) +
-           twiddle_.capacity() * sizeof(std::complex<double>);
-  }
+  /// Bytes held by the precomputed twiddle table (fewer than n complex
+  /// values). The memory cost model charges plans by this, not by transform
+  /// length, so budget accounting matches what the plan actually pins.
+  std::size_t plan_bytes() const { return twiddle_.capacity() * sizeof(std::complex<double>); }
 
-  /// In-place transform of `a[0..n)`. Same transform (and scaling convention)
-  /// as fft(): `inverse` conjugates the twiddles and applies 1/N.
-  void run(std::complex<double>* a, bool inverse) const;
+  /// In-place transform of `a[0..n)`; `work[0..n)` is the ping-pong line
+  /// and holds garbage on return. Forward uses exp(-2 pi i jk/n); `inverse`
+  /// conjugates the twiddles and applies 1/n.
+  void run(std::complex<double>* a, bool inverse, std::complex<double>* work) const;
 
  private:
   template <bool Inverse>
-  void run_impl(std::complex<double>* a) const;
+  void run_impl(double* a, double* work) const;
 
   std::size_t n_;
-  std::vector<std::uint32_t> bitrev_;
-  /// Forward twiddles w_len^k, k < len/2, concatenated for len = 2, 4, ..., n;
-  /// stage `len` starts at offset len/2 - 1.
+  /// w^p, w^2p, w^3p (w = exp(-2 pi i / len)) for p < len/4 of every
+  /// twiddled radix-4 stage len = n, n/4, ... > 4, stage after stage. The
+  /// final stage (len 4 or 2) has unit twiddles and needs no table.
   std::vector<std::complex<double>> twiddle_;
 };
 
-/// Precomputed 2-D FFT plan with caller-owned full-grid scratch: the same
-/// transform as fft2d(), but zero allocations per call once `scratch` has
-/// warmed up. Copyable (workers clone their sampler's plan with it).
-///
-/// The column pass runs as blocked transpose + contiguous row transforms +
-/// blocked transpose back, instead of gathering each column with a
-/// cache-hostile power-of-two stride (on a 128x128 grid the strided gather
-/// maps every element of a column to a couple of L1 sets).
+/// Precomputed 2-D FFT plan over a rows x cols row-major array, with
+/// caller-owned scratch: zero allocations per call once the scratch has
+/// warmed up. Immutable and shareable between workers. The 1-D passes take
+/// their ping-pong line from the scratch or from a grid buffer that is idle
+/// at the time, so no worker pins extra lines.
 class FftPlan2D {
  public:
   FftPlan2D(std::size_t rows, std::size_t cols);  // both powers of two
@@ -73,25 +64,20 @@ class FftPlan2D {
   /// Bytes pinned by the two 1-D plans (see FftPlan::plan_bytes).
   std::size_t plan_bytes() const { return row_fft_.plan_bytes() + col_fft_.plan_bytes(); }
 
-  /// Full 2-D transform; `scratch` grows to rows*cols and is reused.
+  /// Full 2-D transform in place. `scratch` grows to 16 columns plus one
+  /// line (17 * max(rows, cols) complex values at most) and is reused.
   void run(std::vector<std::complex<double>>& data, bool inverse,
            std::vector<std::complex<double>>& scratch) const;
 
-  /// Output-pruned transform: identical to run() on rows [0, keep_rows) of
-  /// the output, but skips the back-transpose and final per-row transforms of
-  /// the rest (rows >= keep_rows keep whatever `data` held on entry). The
-  /// circulant field sampler reads only the top rows of its padded grid,
-  /// which makes 5/8 of the last pass dead work at typical padding ratios.
-  void run_top_rows(std::vector<std::complex<double>>& data, bool inverse,
-                    std::vector<std::complex<double>>& scratch, std::size_t keep_rows) const;
-
-  /// Column-major variant of run_top_rows for callers that can produce their
-  /// input already transposed (`data[c * rows() + r]` holds grid point
-  /// (r, c)): the column transforms then run contiguously in place with no
-  /// input transpose at all. On return `out` is row-major with rows
-  /// [0, keep_rows) transformed exactly as run() would leave them; rows >=
-  /// keep_rows are untouched. `data` is consumed (holds column-pass
-  /// intermediates).
+  /// Output-pruned transform for callers that can produce their input
+  /// already transposed (`data[c * rows() + r]` holds grid point (r, c)):
+  /// the column transforms run contiguously in place with no input
+  /// transpose, and only rows [0, keep_rows) are transposed back and
+  /// row-transformed. On return `out` is row-major with rows [0, keep_rows)
+  /// bit-identical to what run() leaves; rows >= keep_rows are unspecified.
+  /// `data` is consumed (holds column-pass intermediates). The circulant
+  /// field sampler reads only the top rows of its padded grid, which makes
+  /// most of the last pass dead work.
   void run_top_rows_colmajor(std::vector<std::complex<double>>& data, bool inverse,
                              std::vector<std::complex<double>>& out, std::size_t keep_rows) const;
 
@@ -127,7 +113,7 @@ class CrossCorrelator2D {
 
  private:
   std::size_t rows_, cols_;
-  std::size_t pad_rows_, pad_cols_;
+  FftPlan2D plan_;  // padded dims: next_pow2(2n - 1) per axis
 };
 
 }  // namespace rgleak::math

@@ -1,5 +1,6 @@
 #include "math/rng.h"
 
+#include <bit>
 #include <cmath>
 
 #include "util/require.h"
@@ -64,17 +65,30 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& w : state_) w = splitmix64(s);
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
+namespace {
+/// One xoshiro256++ step on `s`. A local State copy stays in registers.
+std::uint64_t next(Rng::State& s) {
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
   return result;
 }
+
+/// Ziggurat fast path: the draw's layer-box sample with its sign bit (draw
+/// bit 8) XOR-ed into bit 63 — exactly `neg ? -x : x`, without the
+/// unpredictable branch.
+double signed_box_sample(std::uint64_t d, std::uint64_t off, double w) {
+  const double x = static_cast<double>(off) * w;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ (((d >> 8) & 1) << 63));
+}
+}  // namespace
+
+Rng::result_type Rng::operator()() { return next(state_); }
 
 double Rng::uniform() {
   // 53 high bits -> double in [0,1).
@@ -102,10 +116,8 @@ double Rng::normal() {
   const std::uint64_t d = (*this)();
   const std::size_t idx = d & (kZigLayers - 1);
   const std::uint64_t off = (d >> 9) & kZigMantissaMask;
-  if (off < t.k[idx]) {  // inside the layer's inscribed box (~99% of draws)
-    const double x = static_cast<double>(off) * t.w[idx];
-    return (d >> 8) & 1 ? -x : x;
-  }
+  // Inside the layer's inscribed box: ~99% of draws.
+  if (off < t.k[idx]) return signed_box_sample(d, off, t.w[idx]);
   return normal_slow(d);
 }
 
@@ -145,22 +157,26 @@ std::vector<double> Rng::normal_vector(std::size_t n) {
 }
 
 void Rng::normal_fill(double* out, std::size_t n) {
-  // Identical stream to n calls of normal(); the ziggurat fast path is
-  // inlined here so bulk fills (the MC field draw is ~10^5 normals) skip the
-  // per-call function and table-guard overhead.
-  std::size_t i = 0;
+  // Identical stream (values and final state) to n calls of normal(). The
+  // fast path is inlined with the engine state held in locals, so a bulk
+  // fill (the MC field draw is ~10^5 normals) is register-resident and
+  // branch-free apart from the ~1% slow-path exit, which syncs the state
+  // around normal_slow().
   const ZigguratTables& t = zig();
-  while (i < n) {
-    const std::uint64_t d = (*this)();
+  State s = state_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t d = next(s);
     const std::size_t idx = d & (kZigLayers - 1);
     const std::uint64_t off = (d >> 9) & kZigMantissaMask;
-    if (off < t.k[idx]) {
-      const double x = static_cast<double>(off) * t.w[idx];
-      out[i++] = (d >> 8) & 1 ? -x : x;
-      continue;
+    if (off < t.k[idx]) [[likely]] {
+      out[i] = signed_box_sample(d, off, t.w[idx]);
+    } else {
+      state_ = s;
+      out[i] = normal_slow(d);
+      s = state_;
     }
-    out[i++] = normal_slow(d);
   }
+  state_ = s;
 }
 
 bool Rng::bernoulli(double p) {

@@ -51,6 +51,8 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
   // real) bad_alloc here is translated to ResourceError by callers.
   RGLEAK_FAILPOINT("process.sampler.alloc");
 
+  plan_ = std::make_shared<const math::FftPlan2D>(prow_, pcol_);
+
   // First row of the block-circulant covariance: wrap-around distances.
   std::vector<std::complex<double>> kernel(prow_ * pcol_);
   const double var = sigma * sigma;
@@ -65,8 +67,10 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
     }
   }
 
-  math::fft2d(kernel, prow_, pcol_, /*inverse=*/false);
-  plan_ = std::make_shared<const math::FftPlan2D>(prow_, pcol_);
+  {
+    std::vector<std::complex<double>> scratch;
+    plan_->run(kernel, /*inverse=*/false, scratch);
+  }
 
   sqrt_eig_.resize(prow_ * pcol_);
   double max_eig = 0.0, worst_neg = 0.0;

@@ -27,9 +27,13 @@ namespace rgleak::process {
 /// padded dimensions on first use and are reused afterwards, so the
 /// steady-state sampling loop performs zero heap allocations.
 struct FieldWorkspace {
-  std::vector<std::complex<double>> freq;     ///< padded-grid FFT buffer
-  std::vector<std::complex<double>> scratch;  ///< 1-D line scratch for the FFT
-  std::vector<double> normals;                ///< dense-sampler white noise
+  /// Padded grid, row-major: the inverse FFT's output (and the ping-pong
+  /// line of its column pass before that).
+  std::vector<std::complex<double>> freq;
+  /// Padded grid, column-major: the colored white noise, consumed by the
+  /// FFT's column pass (and then the ping-pong line of its row pass).
+  std::vector<std::complex<double>> scratch;
+  std::vector<double> normals;  ///< dense-sampler white noise
 };
 
 /// Samples zero-mean stationary Gaussian fields on a k x m grid of sites with
@@ -98,8 +102,8 @@ class GridFieldSampler {
   /// layout the FFT's contiguous column pass wants, which removes the input
   /// transpose from every draw.
   std::vector<double> sqrt_eig_;
-  /// Twiddle/bit-reversal plan for the prow_ x pcol_ transforms; shared
-  /// between per-worker copies of the sampler (immutable after construction).
+  /// Twiddle plan for the prow_ x pcol_ transforms; shared between
+  /// per-worker copies of the sampler (immutable after construction).
   std::shared_ptr<const math::FftPlan2D> plan_;
   double clamped_fraction_ = 0.0;
   std::vector<double> cached_;   // second independent field from the last FFT

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "math/rng.h"
 #include "util/require.h"
@@ -12,6 +14,78 @@ namespace {
 
 using cvec = std::vector<std::complex<double>>;
 
+// One-shot transforms through the plans.
+void fft(cvec& v, bool inverse) {
+  const FftPlan plan(v.size());
+  cvec work(v.size());
+  plan.run(v.data(), inverse, work.data());
+}
+
+void fft2d(cvec& v, std::size_t rows, std::size_t cols, bool inverse) {
+  const FftPlan2D plan(rows, cols);
+  cvec scratch;
+  plan.run(v, inverse, scratch);
+}
+
+/// O(n^2) DFT oracle in long double with exactly reduced angles:
+/// X_k = sum_j x_j exp(-+2 pi i jk / n), times 1/n for the inverse.
+cvec naive_dft(const cvec& x, bool inverse) {
+  const std::size_t n = x.size();
+  const long double sign = inverse ? 1.0L : -1.0L;
+  std::vector<long double> cos_t(n), sin_t(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const long double ang = sign * 2.0L * static_cast<long double>(M_PI) *
+                            static_cast<long double>(m) / static_cast<long double>(n);
+    cos_t[m] = std::cos(ang);
+    sin_t[m] = std::sin(ang);
+  }
+  cvec out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    long double re = 0.0L, im = 0.0L;
+    for (std::size_t j = 0; j < n; ++j) {
+      const long double c = cos_t[(j * k) % n], s = sin_t[(j * k) % n];
+      re += x[j].real() * c - x[j].imag() * s;
+      im += x[j].real() * s + x[j].imag() * c;
+    }
+    const long double scale = inverse ? 1.0L / static_cast<long double>(n) : 1.0L;
+    out[k] = {static_cast<double>(re * scale), static_cast<double>(im * scale)};
+  }
+  return out;
+}
+
+/// 2-D oracle: the naive DFT along every column, then along every row.
+cvec naive_dft2d(const cvec& x, std::size_t rows, std::size_t cols, bool inverse) {
+  cvec out = x, line(rows);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) line[r] = out[r * cols + c];
+    line = naive_dft(line, inverse);
+    for (std::size_t r = 0; r < rows; ++r) out[r * cols + c] = line[r];
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const cvec row(out.begin() + static_cast<std::ptrdiff_t>(r * cols),
+                   out.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
+    const cvec t = naive_dft(row, inverse);
+    std::copy(t.begin(), t.end(), out.begin() + static_cast<std::ptrdiff_t>(r * cols));
+  }
+  return out;
+}
+
+/// max |got - want| / max |want| over the first `count` entries.
+double relative_error(const cvec& got, const cvec& want, std::size_t count) {
+  double err = 0.0, ref = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    err = std::max(err, std::abs(got[i] - want[i]));
+    ref = std::max(ref, std::abs(want[i]));
+  }
+  return ref > 0.0 ? err / ref : err;
+}
+
+cvec random_cvec(Rng& rng, std::size_t n) {
+  cvec v(n);
+  for (auto& x : v) x = {rng.normal(), rng.normal()};
+  return v;
+}
+
 TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(1), 1u);
   EXPECT_EQ(next_pow2(2), 2u);
@@ -19,11 +93,6 @@ TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(17), 32u);
   EXPECT_EQ(next_pow2(1024), 1024u);
   EXPECT_THROW(next_pow2(0), ContractViolation);
-}
-
-TEST(Fft, RejectsNonPow2) {
-  cvec v(6);
-  EXPECT_THROW(fft(v, false), ContractViolation);
 }
 
 TEST(Fft, DeltaTransformsToConstant) {
@@ -85,21 +154,7 @@ TEST(Fft, Parseval) {
   EXPECT_NEAR(freq_energy, 256.0 * time_energy, 1e-6 * freq_energy);
 }
 
-TEST(Fft2d, RoundTrip) {
-  Rng rng(7);
-  const std::size_t rows = 16, cols = 32;
-  cvec v(rows * cols);
-  for (auto& x : v) x = {rng.normal(), rng.normal()};
-  const cvec orig = v;
-  fft2d(v, rows, cols, false);
-  fft2d(v, rows, cols, true);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(v[i].real(), orig[i].real(), 1e-10);
-    EXPECT_NEAR(v[i].imag(), orig[i].imag(), 1e-10);
-  }
-}
-
-TEST(Fft2d, SeparableTransform) {
+TEST(FftPlan2D, SeparableTransform) {
   // FFT2D of an outer product equals the outer product of the 1-D FFTs.
   const std::size_t n = 8;
   cvec row(n), col(n);
@@ -118,45 +173,58 @@ TEST(Fft2d, SeparableTransform) {
       EXPECT_NEAR(std::abs(grid[r * n + c] - fcol[r] * frow[c]), 0.0, 1e-9);
 }
 
-TEST(Fft2d, RejectsSizeMismatch) {
+TEST(FftPlan2D, RejectsSizeMismatch) {
   cvec v(15);
   EXPECT_THROW(fft2d(v, 4, 4, false), ContractViolation);
 }
 
-TEST(FftPlan, MatchesAdHocFftWithinRounding) {
-  // The plan hoists twiddles out of the butterfly loop, which removes the
-  // w *= w_len recurrence; results agree with fft() to rounding error.
+TEST(FftPlan, MatchesNaiveDftForEveryPow2UpTo2048) {
+  // Even log2 sizes run pure radix-4 stages; odd ones end with the radix-2
+  // stage. Both must agree with the O(n^2) DFT to rounding.
   Rng rng(11);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                              std::size_t{128}}) {
+  for (std::size_t n = 1; n <= 2048; n *= 2) {
     const FftPlan plan(n);
     for (const bool inverse : {false, true}) {
-      cvec a(n), b;
-      for (auto& x : a) x = {rng.normal(), rng.normal()};
-      b = a;
-      fft(a, inverse);
-      plan.run(b.data(), inverse);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-11 * std::sqrt(static_cast<double>(n)))
-            << "n=" << n << " inverse=" << inverse << " i=" << i;
+      const cvec x = random_cvec(rng, n);
+      cvec a = x, work(n);
+      plan.run(a.data(), inverse, work.data());
+      EXPECT_LE(relative_error(a, naive_dft(x, inverse), n), 1e-12)
+          << "n=" << n << " inverse=" << inverse;
     }
   }
 }
 
 TEST(FftPlan, RejectsNonPow2) { EXPECT_THROW(FftPlan(6), ContractViolation); }
 
-TEST(FftPlan2D, MatchesFft2dWithinRounding) {
+TEST(FftPlan2D, MatchesNaiveDft) {
   Rng rng(13);
   const std::size_t rows = 16, cols = 32;
   const FftPlan2D plan(rows, cols);
   for (const bool inverse : {false, true}) {
-    cvec a(rows * cols), scratch;
-    for (auto& x : a) x = {rng.normal(), rng.normal()};
-    cvec b = a;
-    fft2d(a, rows, cols, inverse);
-    plan.run(b, inverse, scratch);
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10) << "inverse=" << inverse << " i=" << i;
+    const cvec x = random_cvec(rng, rows * cols);
+    cvec a = x, scratch;
+    plan.run(a, inverse, scratch);
+    EXPECT_LE(relative_error(a, naive_dft2d(x, rows, cols, inverse), a.size()), 1e-12)
+        << "inverse=" << inverse;
+  }
+}
+
+TEST(FftPlan2D, ColMajorPrunedMatchesNaiveDftOnNonSquareGrid) {
+  // The sampler's shape: a tall-stride column pass (512-point columns here
+  // are the rows of a 64x512 grid transposed), an odd row count kept.
+  Rng rng(29);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{64, 512}, {512, 64}}) {
+    const FftPlan2D plan(rows, cols);
+    const std::size_t keep = 37;
+    for (const bool inverse : {false, true}) {
+      const cvec x = random_cvec(rng, rows * cols);
+      cvec colmajor(rows * cols), out;
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c) colmajor[c * rows + r] = x[r * cols + c];
+      plan.run_top_rows_colmajor(colmajor, inverse, out, keep);
+      EXPECT_LE(relative_error(out, naive_dft2d(x, rows, cols, inverse), keep * cols), 1e-12)
+          << rows << "x" << cols << " inverse=" << inverse;
+    }
   }
 }
 
@@ -171,24 +239,6 @@ TEST(FftPlan2D, RoundTripIsExactToTolerance) {
   plan.run(v, true, scratch);
   for (std::size_t i = 0; i < v.size(); ++i)
     EXPECT_NEAR(std::abs(v[i] - orig[i]), 0.0, 1e-10);
-}
-
-TEST(FftPlan2D, TopRowsPruningIsBitIdenticalOnKeptRows) {
-  // run_top_rows must produce exactly the bits run() produces on the rows it
-  // keeps — the field sampler's stream depends on it.
-  Rng rng(19);
-  const std::size_t rows = 16, cols = 8, keep = 5;
-  const FftPlan2D plan(rows, cols);
-  cvec full(rows * cols), pruned, scratch_a, scratch_b;
-  for (auto& x : full) x = {rng.normal(), rng.normal()};
-  pruned = full;
-  plan.run(full, true, scratch_a);
-  plan.run_top_rows(pruned, true, scratch_b, keep);
-  for (std::size_t r = 0; r < keep; ++r)
-    for (std::size_t c = 0; c < cols; ++c) {
-      EXPECT_EQ(full[r * cols + c].real(), pruned[r * cols + c].real());
-      EXPECT_EQ(full[r * cols + c].imag(), pruned[r * cols + c].imag());
-    }
 }
 
 TEST(FftPlan2D, ColMajorVariantIsBitIdenticalOnKeptRows) {
@@ -211,6 +261,35 @@ TEST(FftPlan2D, ColMajorVariantIsBitIdenticalOnKeptRows) {
         EXPECT_EQ(rowmajor[r * cols + c].imag(), out[r * cols + c].imag());
       }
   }
+}
+
+TEST(FftPlan2D, ConcurrentSharedPlan) {
+  // MC workers share one immutable plan, each with its own buffers: four
+  // threads running it at once must reproduce the serial bits exactly.
+  Rng rng(31);
+  const std::size_t rows = 128, cols = 64, keep = 45;
+  const FftPlan2D plan(rows, cols);
+  constexpr int kThreads = 4, kRounds = 8;
+  std::vector<cvec> inputs(kThreads), want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    inputs[t] = random_cvec(rng, rows * cols);
+    cvec data = inputs[t];
+    plan.run_top_rows_colmajor(data, /*inverse=*/true, want[t], keep);
+  }
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      cvec data, out;
+      for (int round = 0; round < kRounds; ++round) {
+        data = inputs[t];
+        plan.run_top_rows_colmajor(data, /*inverse=*/true, out, keep);
+        for (std::size_t i = 0; i < keep * cols; ++i)
+          if (out[i] != want[t][i]) ++mismatches[t];
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(CrossCorrelator2D, MatchesBruteForceOnRandomGrids) {

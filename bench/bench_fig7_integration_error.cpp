@@ -1,6 +1,6 @@
 // Figure 7: % error between the constant-time numerical-integration estimate
-// (eq. 20) and the exact linear-time distance-histogram sum (eq. 17), as a
-// function of gate count.
+// (eq. 20, evaluated as the 1-D polar integral of eqs. 25/26) and the exact
+// linear-time distance-histogram sum (eq. 17), as a function of gate count.
 //
 // Paper reference: > 1% below ~100 gates (site granularity), < 0.1% for
 // large designs, < 0.01% above ten thousand gates.
@@ -28,7 +28,7 @@ int main() {
   usage.alphas[lib.index_of("NOR2_X1")] = 0.2;
   const core::RandomGate rg(chars, usage, 0.5, core::CorrelationMode::kAnalytic);
 
-  util::Table t({"n", "sigma O(n) (uA)", "sigma O(1) rect (uA)", "error %", "polar?",
+  util::Table t({"n", "sigma O(n) (uA)", "sigma O(1) integral (uA)", "error %",
                  "t_linear (ms)", "t_integral (ms)"});
   for (std::size_t side : {3u, 5u, 10u, 18u, 32u, 56u, 100u, 178u, 316u, 562u, 1000u}) {
     const std::size_t n = side * side;
@@ -39,8 +39,7 @@ int main() {
     const auto t0 = clock::now();
     const core::LeakageEstimate lin = core::estimate_linear(rg, fp);
     const auto t1 = clock::now();
-    bool used_polar = false;
-    const core::LeakageEstimate integ = core::estimate_integral_polar(rg, fp, {}, &used_polar);
+    const core::LeakageEstimate integ = core::estimate_integral_polar(rg, fp);
     const auto t2 = clock::now();
 
     const double err = 100.0 * std::abs(integ.sigma_na - lin.sigma_na) / lin.sigma_na;
@@ -49,7 +48,6 @@ int main() {
         .cell(lin.sigma_na * 1e-3, 5)
         .cell(integ.sigma_na * 1e-3, 5)
         .cell(err, 3)
-        .cell(used_polar ? "yes" : "rect")
         .cell(std::chrono::duration<double, std::milli>(t1 - t0).count(), 3)
         .cell(std::chrono::duration<double, std::milli>(t2 - t1).count(), 3);
   }

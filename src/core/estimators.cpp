@@ -83,32 +83,42 @@ LeakageEstimate estimate_integral_rect(const RandomGate& rg, const placement::Fl
 }
 
 LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::Floorplan& fp,
-                                        const math::QuadratureOptions& opts, bool* used_polar) {
+                                        const math::QuadratureOptions& opts) {
   static util::metrics::Histogram& rung_ms =
       util::metrics::Registry::instance().histogram("estimator.integral_polar_ms");
   const util::metrics::ScopedTimerMs timer(rung_ms);
-  const double w = fp.width_nm(), h = fp.height_nm();
-  const double d_max = rg.process().wid_correlation_range_nm();
-  if (d_max >= std::min(w, h) || !rg.process().is_isotropic()) {
-    // Validity conditions of section 3.2.2 not met (the polar reduction
-    // additionally needs an isotropic kernel); use the 2-D form.
-    if (used_polar != nullptr) *used_polar = false;
-    return estimate_integral_rect(rg, fp, opts);
-  }
-  if (used_polar != nullptr) *used_polar = true;
-
+  // Anisotropy is an axis rescale: x' = x/sx, y' = y/sy is the isotropic
+  // problem on a W/sx x H/sy die, and 4 n^2/A^2 holds with A = (W/sx)(H/sy).
+  const process::CorrelationAnisotropy& an = rg.process().anisotropy();
+  const double w = fp.width_nm() / an.scale_x, h = fp.height_nm() / an.scale_y;
   const double n = static_cast<double>(fp.num_sites());
-  const double area = fp.area_nm2();
   const double c_floor = rg.covariance_floor_na2();
 
-  // g(r) of eq. (24): the analytic angular integral.
-  const auto g = [&](double r) { return 0.5 * r * r - (w + h) * r + 0.5 * M_PI * w * h; };
+  // The die's full angular weight, the integral of (w - r cos t)(h - r sin t)
+  // over the angles whose ray of length r stays on the die; eq. (24)'s g(r)
+  // is its r <= min(w, h) branch, and it vanishes at hypot(w, h).
+  const auto g = [&](double r) {
+    const auto antiderivative = [&](double t) {
+      const double s = std::sin(t);
+      return w * h * t - h * r * s + w * r * std::cos(t) + 0.5 * r * r * s * s;
+    };
+    return antiderivative(std::asin(std::min(1.0, h / r))) -
+           antiderivative(std::acos(std::min(1.0, w / r)));
+  };
   // Eq. (26): split C(r) into a constant D2D part and a compact-support part.
-  const double integral = math::integrate_adaptive(
-      [&](double r) { return (rg.covariance_at_distance(r) - c_floor) * r * g(r); }, 0.0, d_max,
-      opts);
+  const auto f = [&](double r) {
+    return (rg.covariance_at_offset(r * an.scale_x, 0.0) - c_floor) * r * g(r);
+  };
+  // Piecewise over the kinks of g at min(w, h) and max(w, h), up to D_max.
+  const double end = std::min(rg.process().wid_correlation().range_nm(), std::hypot(w, h));
+  double integral = 0.0, lo = 0.0;
+  for (const double brk : {std::min(w, h), std::max(w, h), end}) {
+    const double hi = std::min(brk, end);
+    integral += math::integrate_adaptive(f, lo, hi, opts);
+    lo = hi;
+  }
 
-  const double var = 4.0 * n * n / (area * area) * integral + n * n * c_floor;
+  const double var = 4.0 * n * n / (w * w * h * h) * integral + n * n * c_floor;
   return checked_estimate("estimate_integral_polar", "integral_polar", n * rg.mean_na(), var,
                           fp.num_sites(), fp);
 }
@@ -206,14 +216,22 @@ std::vector<double> ExactEstimator::offset_rho(const placement::Floorplan& fp) c
   return rho;
 }
 
+ExactMethod parse_exact_method(const std::string& name) {
+  if (name == "auto") return ExactMethod::kAuto;
+  if (name == "direct") return ExactMethod::kDirect;
+  if (name == "fft") return ExactMethod::kFft;
+  throw ConfigError("unknown exact method: " + name);
+}
+
+ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites) {
+  if (method != ExactMethod::kAuto) return method;
+  return sites >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
+}
+
 LeakageEstimate ExactEstimator::estimate(const placement::Placement& placement,
                                          const ExactOptions& options) const {
-  ExactMethod method = options.method;
-  if (method == ExactMethod::kAuto) {
-    // The FFT transform wins everywhere except grids so small the padding
-    // overhead dominates.
-    method = placement.floorplan().num_sites() >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
-  }
+  const ExactMethod method =
+      resolve_exact_method(options.method, placement.floorplan().num_sites());
   util::ThreadPool& pool =
       options.pool ? *options.pool : util::ThreadPool::shared(options.threads);
   try {

@@ -6,9 +6,8 @@
 //  * estimate_integral_rect — eq. (20): 2-D rectangular-coordinate integral;
 //                           O(1) in the site count.
 //  * estimate_integral_polar — eqs (25)/(26): 1-D polar integral with the D2D
-//                           constant split; O(1); requires the WID correlation
-//                           range to fit inside min(W, H), else falls back to
-//                           the 2-D form.
+//                           constant split; O(1); any die size and any
+//                           anisotropic process (by an axis rescale).
 //  * ExactEstimator       — the "true leakage" of a specific placed design:
 //                           the full pairwise covariance sum. This is the
 //                           baseline the paper compares against (Table 1,
@@ -25,6 +24,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/estimate.h"
@@ -47,12 +47,11 @@ LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan
 LeakageEstimate estimate_integral_rect(const RandomGate& rg, const placement::Floorplan& fp,
                                        const math::QuadratureOptions& opts = {});
 
-/// Eqs (25)-(26): constant-time 1-D polar integral with the D2D split. Falls
-/// back to the rectangular form when D_max >= min(W, H) (the paper's validity
-/// condition); `used_polar`, when given, reports which path ran.
+/// Eqs (25)-(26): constant-time 1-D polar integral with the D2D split, the
+/// same quantity as eq. (20). Eq. (24)'s angular weight is extended to the
+/// rectangle's full weight up to r = hypot(W, H), so D_max may exceed the die.
 LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::Floorplan& fp,
-                                        const math::QuadratureOptions& opts = {},
-                                        bool* used_polar = nullptr);
+                                        const math::QuadratureOptions& opts = {});
 
 /// Evaluation path for the exact pairwise sum.
 enum class ExactMethod {
@@ -60,6 +59,14 @@ enum class ExactMethod {
   kDirect,  ///< O(n^2) pairwise double loop (tiled over the thread pool).
   kFft,     ///< O(T^2 n log n) FFT offset histogram.
 };
+
+/// The exact method a user names: "auto", "direct" or "fft". Throws
+/// ConfigError on any other name.
+ExactMethod parse_exact_method(const std::string& name);
+
+/// `method` with kAuto resolved for a grid of `sites` sites: the FFT, except
+/// on grids so small that its padding overhead dominates.
+ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites);
 
 struct ExactOptions {
   ExactMethod method = ExactMethod::kAuto;

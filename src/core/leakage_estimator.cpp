@@ -25,12 +25,18 @@ LeakageEstimate estimate_unplaced(const std::string& rung, const RandomGate& rg,
                                   const placement::Floorplan& fp, const util::RunControl* run) {
   if (rung == "linear") return estimate_linear(rg, fp, run);
   if (rung == "integral_rect") return estimate_integral_rect(rg, fp);
-  // integral_polar (which itself falls back to rect when its validity
-  // condition fails).
   return estimate_integral_polar(rg, fp);
 }
 
 }  // namespace
+
+EstimationMethod parse_estimation_method(const std::string& name) {
+  if (name == "auto") return EstimationMethod::kAuto;
+  if (name == "linear") return EstimationMethod::kLinear;
+  if (name == "rect") return EstimationMethod::kIntegralRect;
+  if (name == "polar") return EstimationMethod::kIntegralPolar;
+  throw ConfigError("unknown method: " + name);
+}
 
 placement::Floorplan floorplan_for_design(const DesignCharacteristics& design) {
   RGLEAK_REQUIRE(design.gate_count >= 1, "design needs at least one gate");
@@ -91,9 +97,7 @@ EstimationMethod retry_method(EstimationMethod requested, int degrade) {
 }
 
 std::string exact_rung(ExactMethod method, std::size_t sites) {
-  if (method == ExactMethod::kAuto)
-    method = sites >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
-  return method == ExactMethod::kFft ? "exact_fft" : "exact_direct";
+  return resolve_exact_method(method, sites) == ExactMethod::kFft ? "exact_fft" : "exact_direct";
 }
 
 LeakageEstimate estimate_placed(const ExactEstimator& exact, const RandomGate& rg,

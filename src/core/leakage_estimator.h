@@ -35,6 +35,10 @@ enum class EstimationMethod {
   kAuto,          ///< linear below 10k gates, polar above (paper's suggestion)
 };
 
+/// The method a user names: "auto", "linear", "rect" or "polar". Throws
+/// ConfigError on any other name.
+EstimationMethod parse_estimation_method(const std::string& name);
+
 struct EstimatorConfig {
   /// Fixed signal probability; ignored when maximize_signal_probability.
   double signal_probability = 0.5;
@@ -91,7 +95,7 @@ class LeakageEstimator {
 EstimationMethod retry_method(EstimationMethod requested, int degrade);
 
 /// The ladder rung an exact request runs at on `sites` sites ("exact_fft" or
-/// "exact_direct"; kAuto picks the FFT from 64 sites, as ExactEstimator does).
+/// "exact_direct"; kAuto resolves as ExactEstimator does).
 std::string exact_rung(ExactMethod method, std::size_t sites);
 
 /// Estimate of a *placed* design down the full ladder of the paper

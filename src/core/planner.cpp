@@ -21,6 +21,9 @@ namespace {
 constexpr std::array<const char*, 4> kLadder = {"exact_fft", "exact_direct", "linear",
                                                 "integral_polar"};
 
+// The time law of the rungs walk() never times: the integral floors and MC.
+constexpr double kUntimed = std::numeric_limits<double>::infinity();
+
 // Position of `rung` on the ladder; kLadder.size() for off-ladder rungs.
 std::size_t ladder_position(const std::string& rung) {
   return static_cast<std::size_t>(std::find(kLadder.begin(), kLadder.end(), rung) -
@@ -81,10 +84,9 @@ Planner::Planner()
           {"exact_fft", {Basis::kNLogN, 5e-3}, {Basis::kLinear, 8192.0}},
           {"exact_direct", {Basis::kQuadratic, 5e-5}, {Basis::kLinear, 256.0}},
           {"linear", {Basis::kLinear, 2e-3}, {Basis::kConstant, 64 << 10}},
-          {"integral_rect", {Basis::kConstant, 50.0}, {Basis::kConstant, 32 << 10}},
-          {"integral_polar", {Basis::kConstant, 5.0}, {Basis::kConstant, 32 << 10}},
-          {"mc", {Basis::kConstant, std::numeric_limits<double>::infinity()},
-           {Basis::kLinear, 4096.0}},
+          {"integral_rect", {Basis::kConstant, kUntimed}, {Basis::kConstant, 32 << 10}},
+          {"integral_polar", {Basis::kConstant, kUntimed}, {Basis::kConstant, 32 << 10}},
+          {"mc", {Basis::kConstant, kUntimed}, {Basis::kLinear, 4096.0}},
       }} {}
 
 double Planner::basis_value(Basis basis, std::size_t sites) {
@@ -114,7 +116,7 @@ std::size_t Planner::bench_index(const std::string& method) const {
 
 void Planner::calibrate_ms(const std::string& method, std::size_t sites, double wall_ms) {
   const std::size_t i = bench_index(method);
-  // "mc" has no time prediction to calibrate.
+  // The floors and "mc" have no time prediction to calibrate.
   if (i < rungs_.size() && !std::isinf(rungs_[i].ms.coeff) && sites > 0 && wall_ms >= 0.0)
     rungs_[i].ms.fold(wall_ms, sites);
 }

@@ -47,8 +47,9 @@ class Planner {
   void calibrate_bytes(const std::string& method, std::size_t sites, std::uint64_t bytes);
 
   /// Predicted wall time / peak bytes of a rung ("exact_fft", "exact_direct",
-  /// "linear", "integral_rect", "integral_polar"; "mc" is one MC worker, bytes
-  /// only). Unknown names predict +infinity / UINT64_MAX ("does not fit").
+  /// "linear", "integral_rect", "integral_polar"; "mc" is one MC worker). The
+  /// integral floors and "mc" predict bytes only; their time is +infinity.
+  /// Unknown names predict +infinity / UINT64_MAX ("does not fit").
   double predict_ms(const std::string& rung, std::size_t sites) const;
   std::uint64_t predict_bytes(const std::string& rung, std::size_t sites) const;
 
@@ -63,7 +64,8 @@ class Planner {
   /// budget; the rung runs directly under `parent`). With a time budget a
   /// rung runs under a deadline linked to `parent`: the deadline cancelling
   /// it degrades to the next rung, an external stop propagates. The floor
-  /// always answers; a request no rung admits throws ResourceError. The
+  /// (integral_polar, or integral_rect when requested) runs unconditionally,
+  /// with no time check; a request no rung admits throws ResourceError. The
   /// result's `degradation` lists every step, "; "-joined.
   LeakageEstimate walk(const std::string& requested, std::size_t sites, double time_budget_s,
                        const util::RunControl* parent, const RungFn& run_rung) const;

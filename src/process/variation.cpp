@@ -43,10 +43,6 @@ double ProcessVariation::total_length_correlation_xy(double dx_nm, double dy_nm)
   return (var_dd + var_wd * (*wid_corr_)(d_eff)) / total;
 }
 
-double ProcessVariation::wid_correlation_range_nm() const {
-  return wid_corr_->range_nm() * std::max(anisotropy_.scale_x, anisotropy_.scale_y);
-}
-
 ProcessVariation default_process() {
   return ProcessVariation(LengthVariation{}, VtVariation{},
                           std::make_shared<ExponentialCorrelation>(5.0e5));  // 0.5 mm

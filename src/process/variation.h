@@ -39,8 +39,6 @@ struct VtVariation {
 struct CorrelationAnisotropy {
   double scale_x = 1.0;
   double scale_y = 1.0;
-
-  bool is_isotropic() const { return scale_x == scale_y; }
 };
 
 /// Full process description used by the estimators: length statistics, Vt
@@ -67,12 +65,6 @@ class ProcessVariation {
   double total_length_correlation_xy(double dx_nm, double dy_nm) const;
 
   const CorrelationAnisotropy& anisotropy() const { return anisotropy_; }
-  bool is_isotropic() const { return anisotropy_.is_isotropic(); }
-
-  /// Distance beyond which the WID component of the correlation is considered
-  /// zero (D_max of section 3.2.2); taken from the correlation model, scaled
-  /// by the larger anisotropy axis.
-  double wid_correlation_range_nm() const;
 
  private:
   LengthVariation length_;

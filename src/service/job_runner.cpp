@@ -191,13 +191,8 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
   cfg.time_budget_s = num_param(job, "time_budget_s", 0.0);
   cfg.correlation_mode = chars.has_models() ? core::CorrelationMode::kAnalytic
                                             : core::CorrelationMode::kSimplified;
-  const std::string method = param(job, "method", "auto");
-  if (method == "auto") cfg.method = core::EstimationMethod::kAuto;
-  else if (method == "linear") cfg.method = core::EstimationMethod::kLinear;
-  else if (method == "rect") cfg.method = core::EstimationMethod::kIntegralRect;
-  else if (method == "polar") cfg.method = core::EstimationMethod::kIntegralPolar;
-  else throw ConfigError("job '" + job.id + "': unknown method '" + method + "'");
-  cfg.method = core::retry_method(cfg.method, degrade);
+  cfg.method =
+      core::retry_method(core::parse_estimation_method(param(job, "method", "auto")), degrade);
   cfg.planner = planner_;
 
   const std::string p = param(job, "p", "max");
@@ -234,11 +229,7 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
 
   core::ExactOptions opts;
   opts.threads = count_param(job, "threads", 1);
-  const std::string method = param(job, "exact_method", "auto");
-  if (method == "auto") opts.method = core::ExactMethod::kAuto;
-  else if (method == "direct") opts.method = core::ExactMethod::kDirect;
-  else if (method == "fft") opts.method = core::ExactMethod::kFft;
-  else throw ConfigError("job '" + job.id + "': unknown exact_method '" + method + "'");
+  opts.method = core::parse_exact_method(param(job, "exact_method", "auto"));
 
   // A job that asks for no exact answer and no budget runs eq. (17).
   std::string rung = want_exact || budget_s > 0.0 ? core::exact_rung(opts.method, fp.num_sites())

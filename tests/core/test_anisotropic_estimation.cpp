@@ -1,6 +1,6 @@
 // Anisotropic-correlation support through the estimator chain: the linear,
-// rectangular-integral, exact, region, and Monte-Carlo paths all honour the
-// per-axis scaling; the polar path (which requires isotropy) must fall back.
+// integral (rectangular, and polar by an axis rescale), exact, region, and
+// Monte-Carlo paths all honour the per-axis scaling.
 
 #include <gtest/gtest.h>
 
@@ -71,13 +71,13 @@ TEST(AnisotropicEstimation, OrientationMatters) {
   EXPECT_GT(var_along, var_across * 1.05);
 }
 
-TEST(AnisotropicEstimation, PolarFallsBackRectStillWorks) {
+TEST(AnisotropicEstimation, PolarMatchesRect) {
   const auto chars = aniso_chars(3.0, 1.0);
   const RandomGate rg(chars, usage(), 0.5, CorrelationMode::kAnalytic);
   const placement::Floorplan fp = grid(50, 50);
-  bool used_polar = true;
-  const LeakageEstimate polar = estimate_integral_polar(rg, fp, {}, &used_polar);
-  EXPECT_FALSE(used_polar);
+  const LeakageEstimate polar = estimate_integral_polar(rg, fp);
+  const LeakageEstimate rect = estimate_integral_rect(rg, fp);
+  EXPECT_NEAR(polar.sigma_na, rect.sigma_na, 1e-7 * rect.sigma_na);
   const LeakageEstimate lin = estimate_linear(rg, fp);
   EXPECT_NEAR(polar.sigma_na, lin.sigma_na, 0.02 * lin.sigma_na);
 }

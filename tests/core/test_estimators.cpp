@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "../test_util.h"
 #include "math/stats.h"
@@ -101,25 +103,43 @@ TEST(IntegralRect, SmallGridsShowGranularityError) {
   EXPECT_LT(err, 0.2);
 }
 
-TEST(IntegralPolar, MatchesRectWhenValid) {
-  // Make the die much larger than the WID range so the polar path engages.
-  const RandomGate rg = test_rg();  // test process: 20 um correlation length
-  const placement::Floorplan fp = grid(60, 60, 1.0e4);  // 600 um die
-  bool used_polar = false;
-  const LeakageEstimate polar = estimate_integral_polar(rg, fp, {}, &used_polar);
-  EXPECT_TRUE(used_polar);
-  const LeakageEstimate rect = estimate_integral_rect(rg, fp);
-  EXPECT_NEAR(polar.sigma_na, rect.sigma_na, 0.01 * rect.sigma_na);
-}
-
-TEST(IntegralPolar, FallsBackWhenRangeExceedsDie) {
-  const RandomGate rg = test_rg();
-  const placement::Floorplan fp = grid(10, 10, 1000.0);  // 10 um die << range
-  bool used_polar = true;
-  const LeakageEstimate polar = estimate_integral_polar(rg, fp, {}, &used_polar);
-  EXPECT_FALSE(used_polar);
-  const LeakageEstimate rect = estimate_integral_rect(rg, fp);
-  EXPECT_DOUBLE_EQ(polar.sigma_na, rect.sigma_na);
+TEST(IntegralPolar, MatchesRectOverDiesFamiliesAndAnisotropy) {
+  // The polar form with the rectangle's full angular weight and the axis
+  // rescale is the same integral as eq. (20) for every die and process: WID
+  // range from a tenth of the short side to 15x it, square and 3:1 dies both
+  // ways, every correlation family, isotropic and anisotropic. The mini
+  // library's characterization does not depend on the correlation model, so
+  // each process reuses its cells.
+  const charlib::CharacterizedLibrary& base = mini_chars_analytic();
+  std::vector<charlib::CellChar> cells;
+  for (std::size_t i = 0; i < base.size(); ++i) cells.push_back(base.cell(i));
+  const double ratios[] = {0.1, 0.4, 1.5, 5.0, 15.0};  // D_max / min(W, H)
+  std::size_t combo = 0;
+  for (const char* family : {"exponential", "gaussian", "linear", "spherical", "matern32"}) {
+    for (const auto& [ax, ay] : {std::pair{1.0, 1.0}, {3.0, 1.0}, {1.0, 3.0}, {2.0, 2.0}}) {
+      const process::ProcessVariation proc(base.process().length(), base.process().vt(),
+                                           process::make_correlation(family, 1.0e4),
+                                           process::CorrelationAnisotropy{ax, ay});
+      const charlib::CharacterizedLibrary chars(&mini_library(), proc, cells);
+      const RandomGate rg(chars, test_usage(), 0.5, CorrelationMode::kAnalytic);
+      for (const auto& [aw, ah] : {std::pair{1.0, 1.0}, {3.0, 1.0}, {1.0, 3.0}}) {
+        for (const double ratio : {ratios[combo % 5], ratios[(combo + 2) % 5]}) {
+          const double side = proc.wid_correlation().range_nm() / ratio;
+          placement::Floorplan fp = grid(20, 20);
+          fp.site_w_nm = aw * side / 20.0;
+          fp.site_h_nm = ah * side / 20.0;
+          const LeakageEstimate polar = estimate_integral_polar(rg, fp);
+          const LeakageEstimate rect = estimate_integral_rect(rg, fp);
+          EXPECT_NEAR(polar.sigma_na, rect.sigma_na, 1e-7 * rect.sigma_na)
+              << family << " anisotropy (" << ax << ", " << ay << ") die " << aw << ":" << ah
+              << " D_max/min(W, H) " << ratio;
+          EXPECT_EQ(polar.method, "integral_polar");
+          EXPECT_DOUBLE_EQ(polar.mean_na, rect.mean_na);
+        }
+        ++combo;
+      }
+    }
+  }
 }
 
 TEST(ExactEstimator, SingleTypeDesignMatchesLinearEstimator) {

@@ -148,6 +148,22 @@ TEST(LeakageEstimator, ResolveSignalProbability) {
                ContractViolation);
 }
 
+TEST(MethodNames, ParseEveryNameAndRejectUnknownOnes) {
+  EXPECT_EQ(parse_estimation_method("auto"), EstimationMethod::kAuto);
+  EXPECT_EQ(parse_estimation_method("linear"), EstimationMethod::kLinear);
+  EXPECT_EQ(parse_estimation_method("rect"), EstimationMethod::kIntegralRect);
+  EXPECT_EQ(parse_estimation_method("polar"), EstimationMethod::kIntegralPolar);
+  EXPECT_THROW(parse_estimation_method("integral_polar"), ConfigError);
+  EXPECT_EQ(parse_exact_method("auto"), ExactMethod::kAuto);
+  EXPECT_EQ(parse_exact_method("direct"), ExactMethod::kDirect);
+  EXPECT_EQ(parse_exact_method("fft"), ExactMethod::kFft);
+  EXPECT_THROW(parse_exact_method("FFT"), ConfigError);
+  // One auto threshold for the planner's rung and the estimator's path.
+  EXPECT_EQ(exact_rung(ExactMethod::kAuto, 63), "exact_direct");
+  EXPECT_EQ(exact_rung(ExactMethod::kAuto, 64), "exact_fft");
+  EXPECT_EQ(exact_rung(ExactMethod::kDirect, 4096), "exact_direct");
+}
+
 TEST(LeakageEstimate, HelperAccessors) {
   LeakageEstimate e;
   e.mean_na = 200.0;

@@ -80,7 +80,7 @@ TEST(ProcessVariation, DefaultProcessIsSane) {
   EXPECT_GT(p.length().mean_nm, 0.0);
   EXPECT_GT(p.length().sigma_total_nm(), 0.0);
   EXPECT_DOUBLE_EQ(p.total_length_correlation(0.0), 1.0);
-  EXPECT_GT(p.wid_correlation_range_nm(), 0.0);
+  EXPECT_GT(p.wid_correlation().range_nm(), 0.0);
 }
 
 TEST(ProcessVariation, ZeroVarianceCorrelationThrows) {

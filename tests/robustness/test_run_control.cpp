@@ -116,7 +116,7 @@ TEST(RunControl, BudgetedEstimatorDegradesWhenCostModelSaysTooSlow) {
   {
     const core::LeakageEstimate e = core::estimate_placed(
         exact, rg, pl, 1e-7, core::Planner());
-    EXPECT_TRUE(e.method == "integral_polar" || e.method == "integral_rect") << e.method;
+    EXPECT_EQ(e.method, "integral_polar");
     EXPECT_NE(e.degradation.find("predicted"), std::string::npos) << e.degradation;
     EXPECT_NE(e.degradation.find("linear"), std::string::npos) << e.degradation;
     EXPECT_GT(e.mean_na, 0.0);
@@ -145,7 +145,7 @@ TEST(RunControl, MispredictedRungIsCancelledAtDeadlineAndNextRungAnswers) {
   const ScopedFailpoint fp("thread_pool.task", FailpointAction::kDelay, SIZE_MAX, 2);
   const core::LeakageEstimate e =
       core::estimate_placed(exact, rg, pl, 1e-3, lying);
-  EXPECT_TRUE(e.method == "integral_polar" || e.method == "integral_rect") << e.method;
+  EXPECT_EQ(e.method, "integral_polar");
   EXPECT_NE(e.degradation.find("cancelled at deadline"), std::string::npos) << e.degradation;
 }
 
@@ -161,7 +161,7 @@ TEST(RunControl, BudgetedEstimatorFacadeReportsMethodAndDegradation) {
   cfg.time_budget_s = 1e-7;  // linear cannot fit; must degrade to integral
   const core::LeakageEstimator estimator(mini_chars_analytic(), cfg);
   const core::LeakageEstimate e = estimator.estimate(d);
-  EXPECT_TRUE(e.method == "integral_polar" || e.method == "integral_rect") << e.method;
+  EXPECT_EQ(e.method, "integral_polar");
   EXPECT_NE(e.degradation.find("linear"), std::string::npos) << e.degradation;
 
   // Without a budget the same request runs the linear rung and reports it.

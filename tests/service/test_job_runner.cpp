@@ -85,10 +85,6 @@ std::map<std::string, JobRecord> run_journaled(const std::vector<JobSpec>& jobs,
   return journal.records();
 }
 
-bool is_integral(const std::string& method) {
-  return method == "integral_polar" || method == "integral_rect";
-}
-
 TEST(JobRunnerPlanner, JournalCarriesTheTimeBudgetTrail) {
   const auto records = run_journaled(
       {estimate_job("est", {{"method", "linear"}, {"time_budget_s", "1e-7"}}),
@@ -98,12 +94,12 @@ TEST(JobRunnerPlanner, JournalCarriesTheTimeBudgetTrail) {
 
   const JobRecord& est = records.at("est");
   ASSERT_EQ(est.status, JobStatus::kSucceeded) << est.error;
-  EXPECT_TRUE(is_integral(est.method)) << est.method;
+  EXPECT_EQ(est.method, "integral_polar");
   EXPECT_EQ(est.degradation.rfind("linear predicted ", 0), 0u) << est.degradation;
 
   const JobRecord& fft = records.at("fft");
   ASSERT_EQ(fft.status, JobStatus::kSucceeded) << fft.error;
-  EXPECT_TRUE(is_integral(fft.method)) << fft.method;
+  EXPECT_EQ(fft.method, "integral_polar");
   EXPECT_EQ(fft.degradation.rfind("exact_fft predicted ", 0), 0u) << fft.degradation;
   EXPECT_NE(fft.degradation.find("; linear predicted "), std::string::npos) << fft.degradation;
   EXPECT_EQ(fft.degradation.find("exact_direct"), std::string::npos)
@@ -123,7 +119,7 @@ TEST(JobRunnerPlanner, MemoryDowngradeKeepsTheTimeBudget) {
 
   const JobRecord& fft = records.at("fft");
   ASSERT_EQ(fft.status, JobStatus::kSucceeded) << fft.error;
-  EXPECT_TRUE(is_integral(fft.method)) << fft.method;
+  EXPECT_EQ(fft.method, "integral_polar");
   EXPECT_EQ(fft.degradation.rfind("mem: exact_fft->linear; linear predicted ", 0), 0u)
       << fft.degradation;
 }
@@ -138,27 +134,27 @@ TEST(JobRunnerPlanner, RetriesEnterTheLadderOneStepLowerPerFailure) {
   // integral.
   const JobSpec est = estimate_job("est", {{"method", "linear"}});
   EXPECT_EQ(method_at(est, 0), "linear");
-  EXPECT_TRUE(is_integral(method_at(est, 1)));
-  EXPECT_TRUE(is_integral(method_at(est, 2)));
+  EXPECT_EQ(method_at(est, 1), "integral_polar");
+  EXPECT_EQ(method_at(est, 2), "integral_polar");
 
   // netlist: exact -> linear -> integral, counted from the exact rung.
   const JobSpec fft =
       netlist_job("fft", inputs().small, {{"exact", "true"}, {"exact_method", "fft"}});
   EXPECT_EQ(method_at(fft, 0), "exact_fft");
   EXPECT_EQ(method_at(fft, 1), "linear");
-  EXPECT_TRUE(is_integral(method_at(fft, 2)));
+  EXPECT_EQ(method_at(fft, 2), "integral_polar");
 
   const JobSpec direct =
       netlist_job("dir", inputs().small, {{"exact", "true"}, {"exact_method", "direct"}});
   EXPECT_EQ(method_at(direct, 0), "exact_direct");
   EXPECT_EQ(method_at(direct, 1), "linear");
-  EXPECT_TRUE(is_integral(method_at(direct, 2)));
+  EXPECT_EQ(method_at(direct, 2), "integral_polar");
 
   // A netlist job that asked for no exact answer already sits on linear.
   const JobSpec lin = netlist_job("lin", inputs().small, {});
   EXPECT_EQ(method_at(lin, 0), "linear");
   EXPECT_EQ(method_at(lin, 1), "linear");
-  EXPECT_TRUE(is_integral(method_at(lin, 2)));
+  EXPECT_EQ(method_at(lin, 2), "integral_polar");
 }
 
 }  // namespace

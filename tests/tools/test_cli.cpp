@@ -76,6 +76,22 @@ TEST_F(CliFlags, FiniteGarbageIsStillRejected) {
   EXPECT_EQ(run_cli(batch("--backoff 1.5x")), 2);
 }
 
+TEST_F(CliFlags, UnknownMethodNamesAreUsageErrors) {
+  const std::string lib = temp_path("rgleak_cli_methods.rgchar");
+  const std::string nl = temp_path("rgleak_cli_methods.rgnl");
+  ASSERT_EQ(run_cli("characterize --out " + lib), 0);
+  ASSERT_EQ(run_cli("gen-netlist --out " + nl + " --gates 50 --usage INV_X1:1"), 0);
+  const std::string estimate =
+      "estimate --lib " + lib + " --gates 100 --die-um 10x10 --usage INV_X1:1";
+  const std::string netlist = "netlist --lib " + lib + " --netlist " + nl;
+  EXPECT_EQ(run_cli(estimate + " --method polar"), 0);
+  EXPECT_EQ(run_cli(estimate + " --method bogus"), 2);
+  EXPECT_EQ(run_cli(netlist + " --exact-method direct"), 0);
+  EXPECT_EQ(run_cli(netlist + " --exact-method bogus"), 2);
+  std::remove(lib.c_str());
+  std::remove(nl.c_str());
+}
+
 TEST_F(CliFlags, MetricsJsonIsWrittenAtExit) {
   const std::string out = temp_path("rgleak_cli_metrics.json");
   std::remove(out.c_str());

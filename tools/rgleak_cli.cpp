@@ -314,14 +314,6 @@ int cmd_characterize(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-core::EstimationMethod parse_method(const std::string& m) {
-  if (m == "auto") return core::EstimationMethod::kAuto;
-  if (m == "linear") return core::EstimationMethod::kLinear;
-  if (m == "rect") return core::EstimationMethod::kIntegralRect;
-  if (m == "polar") return core::EstimationMethod::kIntegralPolar;
-  usage_exit(("unknown method: " + m).c_str());
-}
-
 int cmd_estimate(const std::map<std::string, std::string>& flags) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const charlib::CharacterizedLibrary chars =
@@ -334,7 +326,7 @@ int cmd_estimate(const std::map<std::string, std::string>& flags) {
 
   core::EstimatorConfig cfg;
   cfg.run = &g_run;
-  cfg.method = parse_method(flag(flags, "method", "auto"));
+  cfg.method = core::parse_estimation_method(flag(flags, "method", "auto"));
   cfg.correlation_mode = chars.has_models() ? core::CorrelationMode::kAnalytic
                                             : core::CorrelationMode::kSimplified;
   const std::string p = flag(flags, "p", "max");
@@ -398,15 +390,7 @@ int cmd_netlist(const std::map<std::string, std::string>& flags) {
   if (has_flag(flags, "exact") || has_flag(flags, "exact-method")) {
     core::ExactOptions opts;
     const std::string method = flag(flags, "exact-method", "auto");
-    if (method == "auto") {
-      opts.method = core::ExactMethod::kAuto;
-    } else if (method == "direct") {
-      opts.method = core::ExactMethod::kDirect;
-    } else if (method == "fft") {
-      opts.method = core::ExactMethod::kFft;
-    } else {
-      usage_exit(("unknown exact method: " + method).c_str());
-    }
+    opts.method = core::parse_exact_method(method);
     opts.threads = parse_count(flag(flags, "threads", "0"), "--threads");
     opts.run = &g_run;
     const placement::Placement pl(&nl, fp);

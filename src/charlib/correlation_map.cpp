@@ -66,114 +66,60 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
   return components;
 }
 
-namespace {
+void require_mode_supported(const CharacterizedLibrary& chars, CorrelationMode mode) {
+  RGLEAK_REQUIRE(mode != CorrelationMode::kAnalytic || chars.has_models(),
+                 "analytic correlation mode needs an analytically characterized library");
+}
 
-// Mixture mean and variance of the RG (eqs (7)-(8)).
-void mixture_stats(const std::vector<RgComponent>& comps, double& mean, double& variance) {
+MixtureMoments mixture_moments(const std::vector<RgComponent>& components) {
   double m = 0.0, second = 0.0;
-  for (const auto& c : comps) {
+  for (const auto& c : components) {
     m += c.weight * c.mean_na;
     second += c.weight * (c.sigma_na * c.sigma_na + c.mean_na * c.mean_na);
   }
-  mean = m;
-  variance = second - m * m;
+  return {m, second - m * m};
 }
 
-}  // namespace
-
-AnalyticRgCovariance::AnalyticRgCovariance(std::vector<RgComponent> components, double mu_l,
-                                           double sigma_l, std::size_t grid_points)
-    : components_(std::move(components)), mu_l_(mu_l), sigma_l_(sigma_l) {
-  RGLEAK_REQUIRE(grid_points >= 2, "rho grid needs at least two points");
-  for (const auto& c : components_)
-    RGLEAK_REQUIRE(c.model.has_value(),
-                   "analytic RG covariance needs fitted models for every component");
-  mixture_stats(components_, mean_, variance_);
-  grid_.resize(grid_points);
-  for (std::size_t i = 0; i < grid_points; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(grid_points - 1);
-    grid_[i] = exact_covariance(rho);
-  }
+double weighted_sigma(const std::vector<RgComponent>& components) {
+  double s = 0.0;
+  for (const auto& c : components) s += c.weight * c.sigma_na;
+  return s;
 }
 
-double AnalyticRgCovariance::exact_covariance(double rho_l) const {
-  // F(rho) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho); symmetric, so fold.
-  const std::size_t n = components_.size();
-  const double var_l = sigma_l_ * sigma_l_;
-  double f = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& a = components_[k];
-    for (std::size_t l = k; l < n; ++l) {
-      const auto& b = components_[l];
-      const double e12 = a.model->a * b.model->a *
-                         math::expectation_exp_quadratic_2d(a.model->b, a.model->c, b.model->b,
-                                                            b.model->c, mu_l_, var_l, rho_l);
-      const double cov = e12 - a.mean_na * b.mean_na;
-      f += (k == l ? 1.0 : 2.0) * a.weight * b.weight * cov;
-    }
-  }
-  return f;
-}
-
-double AnalyticRgCovariance::covariance(double rho_l) const {
-  RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  const double pos = rho_l * static_cast<double>(grid_.size() - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), grid_.size() - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid_[idx] + frac * (grid_[idx + 1] - grid_[idx]);
-}
-
-CrossRgCovariance::CrossRgCovariance(std::vector<RgComponent> a, std::vector<RgComponent> b,
+MixtureCovariance::MixtureCovariance(const std::vector<RgComponent>& a,
+                                     const std::vector<RgComponent>& b, CorrelationMode mode,
                                      double mu_l, double sigma_l, std::size_t grid_points) {
+  RGLEAK_REQUIRE(!a.empty() && !b.empty(), "mixture covariance needs non-empty mixtures");
+  if (mode == CorrelationMode::kSimplified) {
+    scale_ = weighted_sigma(a) * weighted_sigma(b);
+    return;
+  }
   RGLEAK_REQUIRE(grid_points >= 2, "rho grid needs at least two points");
-  RGLEAK_REQUIRE(!a.empty() && !b.empty(), "cross covariance needs non-empty mixtures");
-  for (const auto& c : a)
-    RGLEAK_REQUIRE(c.model.has_value(), "analytic cross covariance needs fitted models");
-  for (const auto& c : b)
-    RGLEAK_REQUIRE(c.model.has_value(), "analytic cross covariance needs fitted models");
+  for (const auto* list : {&a, &b})
+    for (const auto& c : *list)
+      RGLEAK_REQUIRE(c.model.has_value(),
+                     "analytic mixture covariance needs fitted models for every component");
+  // The auto-covariance is symmetric in (k, l): fold to k <= l.
+  const bool symmetric = &a == &b;
   const double var_l = sigma_l * sigma_l;
   grid_.resize(grid_points);
   for (std::size_t i = 0; i < grid_points; ++i) {
     const double rho = static_cast<double>(i) / static_cast<double>(grid_points - 1);
     double f = 0.0;
-    for (const auto& ca : a) {
-      for (const auto& cb : b) {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      const RgComponent& ca = a[k];
+      for (std::size_t l = symmetric ? k : 0; l < b.size(); ++l) {
+        const RgComponent& cb = b[l];
         const double e12 =
             ca.model->a * cb.model->a *
             math::expectation_exp_quadratic_2d(ca.model->b, ca.model->c, cb.model->b,
                                                cb.model->c, mu_l, var_l, rho);
-        f += ca.weight * cb.weight * (e12 - ca.mean_na * cb.mean_na);
+        const double fold = symmetric && k != l ? 2.0 : 1.0;
+        f += fold * ca.weight * cb.weight * (e12 - ca.mean_na * cb.mean_na);
       }
     }
     grid_[i] = f;
   }
-}
-
-CrossRgCovariance::CrossRgCovariance(const std::vector<RgComponent>& a,
-                                     const std::vector<RgComponent>& b, bool simplified)
-    : simplified_(true) {
-  RGLEAK_REQUIRE(simplified, "use the analytic constructor for the exact mapping");
-  RGLEAK_REQUIRE(!a.empty() && !b.empty(), "cross covariance needs non-empty mixtures");
-  double sa = 0.0, sb = 0.0;
-  for (const auto& c : a) sa += c.weight * c.sigma_na;
-  for (const auto& c : b) sb += c.weight * c.sigma_na;
-  scale_ = sa * sb;
-}
-
-double CrossRgCovariance::covariance(double rho_l) const {
-  RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  if (simplified_) return scale_ * rho_l;
-  const double pos = rho_l * static_cast<double>(grid_.size() - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), grid_.size() - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid_[idx] + frac * (grid_[idx + 1] - grid_[idx]);
-}
-
-SimplifiedRgCovariance::SimplifiedRgCovariance(const std::vector<RgComponent>& components) {
-  mixture_stats(components, mean_, variance_);
-  double s = 0.0;
-  for (const auto& c : components) s += c.weight * c.sigma_na;
-  rho_scale_ = s * s;
 }
 
 }  // namespace rgleak::charlib

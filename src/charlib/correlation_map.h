@@ -11,19 +11,20 @@
 //
 // The Random-Gate covariance of eq. (10) is the usage-weighted mixture of the
 // pairwise covariances over all (cell, state) components:
-//   F(rho_L) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho_L).
-// Two implementations are provided:
-//  * AnalyticRgCovariance — exact, from the fitted models (cached on a rho
-//    grid and interpolated);
-//  * SimplifiedRgCovariance — the rho_{m,n} ~= rho_L assumption of section
-//    3.1.2, F(rho) = rho * (sum_k w_k sigma_k)^2, usable with MC-characterized
-//    libraries that carry no (a,b,c).
+//   F(rho) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho).
+// MixtureCovariance is its one implementation, for any two mixtures A and B:
+// the RG auto-covariance (A = B), the cross-block covariance of the
+// multi-block estimator, the per-type-pair covariance of the exact "true
+// leakage" of eqs (14)/(15), and the per-(cell, state) covariance of the
+// connectivity-aware estimator.
 
-#include <memory>
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "charlib/characterize.h"
 #include "math/mgf.h"
+#include "util/require.h"
 
 namespace rgleak::charlib {
 
@@ -59,75 +60,54 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
                                             const std::vector<double>& usage_alphas,
                                             double signal_probability);
 
-/// Interface: the RG leakage covariance as a function of length correlation
-/// (eq. (11)): covariance(rho) = F(rho) for distinct locations; variance() is
-/// sigma^2_{X_I} for coincident locations.
-class RgCovarianceModel {
- public:
-  virtual ~RgCovarianceModel() = default;
-  /// F(rho_L) for distinct locations; rho_L in [0, 1].
-  virtual double covariance(double rho_l) const = 0;
-  /// sigma^2 of the RG leakage (same-location covariance).
-  virtual double variance() const = 0;
-  /// mu of the RG leakage.
-  virtual double mean() const = 0;
+/// Which leakage-correlation mapping backs a mixture covariance.
+enum class CorrelationMode {
+  kAnalytic,    ///< exact f_{m,n} from the fitted (a,b,c) triplets
+  kSimplified,  ///< rho_{m,n} = rho_L (section 3.1.2; required for MC-characterized libraries)
 };
 
-/// Exact mixture covariance from fitted models, cached on a rho grid.
-class AnalyticRgCovariance final : public RgCovarianceModel {
- public:
-  /// Requires every component to carry a fitted model. `grid_points` controls
-  /// the rho-cache resolution.
-  AnalyticRgCovariance(std::vector<RgComponent> components, double mu_l, double sigma_l,
-                       std::size_t grid_points = 65);
+/// Throws ContractViolation when `mode` is analytic and `chars` carries no
+/// fitted models.
+void require_mode_supported(const CharacterizedLibrary& chars, CorrelationMode mode);
 
-  double covariance(double rho_l) const override;
-  double variance() const override { return variance_; }
-  double mean() const override { return mean_; }
-
- private:
-  double exact_covariance(double rho_l) const;
-
-  std::vector<RgComponent> components_;
-  double mu_l_, sigma_l_;
-  double mean_ = 0.0, variance_ = 0.0;
-  std::vector<double> grid_;  // F at rho = i/(grid_points-1)
+/// Mixture mean and variance of a component list (eqs (7)-(8)).
+struct MixtureMoments {
+  double mean = 0.0;
+  double variance = 0.0;
 };
+MixtureMoments mixture_moments(const std::vector<RgComponent>& components);
 
-/// Covariance between the leakages of two *different* RG mixtures (e.g. two
-/// floorplan blocks with different usage histograms) as a function of length
-/// correlation: F_AB(rho) = sum_{k in A} sum_{l in B} w_k w_l Cov(X_k, X_l;
-/// rho). Used by the multi-block estimator.
-class CrossRgCovariance {
+/// sum_k w_k sigma_k: a mixture's factor in the simplified covariance.
+double weighted_sigma(const std::vector<RgComponent>& components);
+
+/// The leakage covariance of two mixtures A and B as a function of length
+/// correlation: F_AB(rho_L) = sum_{k in A} sum_{l in B} w_k w_l Cov(X_k, X_l;
+/// rho_L), for distinct locations (eq. (11)).
+///  * kAnalytic: tabulated from the fitted models on a uniform rho grid of
+///    `grid_points` points and interpolated linearly. Passing the same list
+///    object as A and B folds the symmetric sum to k <= l.
+///  * kSimplified: rho_L * (sum w sigma)_A * (sum w sigma)_B; models not
+///    required, and (mu_l, sigma_l, grid_points) are unused.
+class MixtureCovariance {
  public:
-  /// Analytic form: both component lists must carry fitted models.
-  CrossRgCovariance(std::vector<RgComponent> a, std::vector<RgComponent> b, double mu_l,
-                    double sigma_l, std::size_t grid_points = 33);
-  /// Simplified form (rho_mn = rho_L): F_AB(rho) = rho * (sum w sigma)_A *
-  /// (sum w sigma)_B. Select with `simplified = true`; models not required.
-  CrossRgCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
-                    bool simplified);
+  MixtureCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
+                    CorrelationMode mode, double mu_l, double sigma_l,
+                    std::size_t grid_points = 33);
 
-  double covariance(double rho_l) const;
+  /// F_AB(rho_l); rho_l in [0, 1]. Inline: the exact estimator calls it
+  /// once per gate pair.
+  double covariance(double rho_l) const {
+    RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
+    if (grid_.empty()) return scale_ * rho_l;
+    const double pos = rho_l * static_cast<double>(grid_.size() - 1);
+    const auto idx = std::min(static_cast<std::size_t>(pos), grid_.size() - 2);
+    const double frac = pos - static_cast<double>(idx);
+    return grid_[idx] + frac * (grid_[idx + 1] - grid_[idx]);
+  }
 
  private:
-  bool simplified_ = false;
-  double scale_ = 0.0;        // simplified mode
-  std::vector<double> grid_;  // analytic mode
-};
-
-/// Simplified covariance under rho_{m,n} = rho_L (section 3.1.2).
-class SimplifiedRgCovariance final : public RgCovarianceModel {
- public:
-  explicit SimplifiedRgCovariance(const std::vector<RgComponent>& components);
-
-  double covariance(double rho_l) const override { return rho_scale_ * rho_l; }
-  double variance() const override { return variance_; }
-  double mean() const override { return mean_; }
-
- private:
-  double rho_scale_ = 0.0;  // (sum_k w_k sigma_k)^2
-  double mean_ = 0.0, variance_ = 0.0;
+  double scale_ = 0.0;        // simplified: F = scale_ * rho
+  std::vector<double> grid_;  // analytic: F at rho = i / (grid_points - 1)
 };
 
 }  // namespace rgleak::charlib

@@ -1,46 +1,37 @@
 #include "core/connectivity_estimator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "charlib/correlation_map.h"
 #include "util/require.h"
 
 namespace rgleak::core {
 
+namespace {
+
+// Key of a (cell, state) component.
+std::size_t component_key(std::size_t cell, std::uint32_t state) { return cell << 20 | state; }
+
+// The component with key `key` as a mixture of a single component of weight 1.
+std::vector<charlib::RgComponent> state_mixture(const charlib::CharacterizedLibrary& chars,
+                                                std::size_t key) {
+  const charlib::StateChar& st = chars.cell(key >> 20).states[key & 0xfffffu];
+  charlib::RgComponent c;
+  c.weight = 1.0;
+  c.mean_na = st.mean_na;
+  c.sigma_na = st.sigma_na;
+  c.model = st.model;
+  return {c};
+}
+
+}  // namespace
+
 ConnectivityAwareEstimator::ConnectivityAwareEstimator(
     const charlib::CharacterizedLibrary& chars, CorrelationMode mode)
     : chars_(&chars), mode_(mode) {
-  if (mode_ == CorrelationMode::kAnalytic)
-    RGLEAK_REQUIRE(chars.has_models(),
-                   "analytic correlation mode needs an analytically characterized library");
-}
-
-const std::vector<double>& ConnectivityAwareEstimator::product_grid(
-    std::size_t cell_a, std::uint32_t state_a, std::size_t cell_b,
-    std::uint32_t state_b) const {
-  // Symmetric in the two (cell, state) pairs; canonicalize the key.
-  std::uint64_t ka = (static_cast<std::uint64_t>(cell_a) << 20) | state_a;
-  std::uint64_t kb = (static_cast<std::uint64_t>(cell_b) << 20) | state_b;
-  if (ka > kb) std::swap(ka, kb);
-  const std::uint64_t key = (ka << 32) | kb;
-  const auto it = product_grid_.find(key);
-  if (it != product_grid_.end()) return it->second;
-
-  const std::size_t ca = static_cast<std::size_t>(ka >> 20);
-  const auto sa = static_cast<std::uint32_t>(ka & 0xfffffu);
-  const std::size_t cb = static_cast<std::size_t>(kb >> 20);
-  const auto sb = static_cast<std::uint32_t>(kb & 0xfffffu);
-  const auto& ma = *chars_->cell(ca).states[sa].model;
-  const auto& mb = *chars_->cell(cb).states[sb].model;
-  const double mu = chars_->process().length().mean_nm;
-  const double sigma = chars_->process().length().sigma_total_nm();
-
-  std::vector<double> grid(kRhoGrid);
-  for (std::size_t i = 0; i < kRhoGrid; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(kRhoGrid - 1);
-    grid[i] = charlib::pair_product_expectation(ma, mb, mu, sigma, rho);
-  }
-  return product_grid_.emplace(key, std::move(grid)).first->second;
+  charlib::require_mode_supported(chars, mode);
 }
 
 LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNetlist& netlist,
@@ -54,20 +45,20 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       netlist::propagate_probabilities(netlist, input_probability);
   const auto gate_inputs = netlist::gate_input_probabilities(netlist, net_probs);
 
+  // Components carry their key while the gates are scanned, then a dense
+  // index in key order.
   struct GateDist {
-    std::size_t cell = 0;
-    std::vector<std::pair<std::uint32_t, double>> states;  // (state, prob), pruned
+    std::vector<std::pair<std::size_t, double>> states;  // (component, prob), pruned
     double mean_na = 0.0;
-    double sigma_na = 0.0;       // state-mixed total sigma (diagonal term)
-    double proc_sigma_na = 0.0;  // state-weighted process sigma (rho_mn = rho_L model)
+    double sigma_na = 0.0;  // state-mixed total sigma (diagonal term)
   };
   std::vector<GateDist> dist(n);
+  std::vector<std::size_t> keys;
   for (std::size_t g = 0; g < n; ++g) {
     const std::size_t ci = netlist.gate(g).cell_index;
     const cells::Cell& cell = chars_->library().cell(ci);
     GateDist& d = dist[g];
-    d.cell = ci;
-    double mean = 0.0, second = 0.0, proc_sigma = 0.0;
+    double mean = 0.0, second = 0.0;
     for (std::uint32_t s = 0; s < cell.num_states(); ++s) {
       double p = 1.0;
       for (int bit = 0; bit < cell.num_inputs(); ++bit)
@@ -75,24 +66,27 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
                                : 1.0 - gate_inputs[g][static_cast<std::size_t>(bit)];
       if (p < 1e-9) continue;
       const auto& st = chars_->cell(ci).states[s];
-      d.states.emplace_back(s, p);
+      d.states.emplace_back(component_key(ci, s), p);
+      keys.push_back(component_key(ci, s));
       mean += p * st.mean_na;
       second += p * (st.sigma_na * st.sigma_na + st.mean_na * st.mean_na);
-      proc_sigma += p * st.sigma_na;
     }
     // Renormalize after pruning.
     double total_p = 0.0;
-    for (auto& [s, p] : d.states) total_p += p;
+    for (auto& [c, p] : d.states) total_p += p;
     RGLEAK_REQUIRE(total_p > 0.0, "gate has empty state distribution");
-    for (auto& [s, p] : d.states) p /= total_p;
+    for (auto& [c, p] : d.states) p /= total_p;
     mean /= total_p;
     second /= total_p;
-    proc_sigma /= total_p;
     d.mean_na = mean;
     const double var = second - mean * mean;
     d.sigma_na = var > 0.0 ? std::sqrt(var) : 0.0;
-    d.proc_sigma_na = proc_sigma;
   }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (auto& d : dist)
+    for (auto& [c, p] : d.states)
+      c = static_cast<std::size_t>(std::lower_bound(keys.begin(), keys.end(), c) - keys.begin());
 
   // rho_L per grid offset.
   const std::size_t k = fp.rows, m = fp.cols;
@@ -101,6 +95,25 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
     for (std::size_t i = 0; i < m; ++i)
       rho[j * m + i] = chars_->process().total_length_correlation_xy(
           static_cast<double>(i) * fp.site_w_nm, static_cast<double>(j) * fp.site_h_nm);
+
+  // One covariance table per unordered pair of components (i <= j, stored
+  // triangularly), built on first use. Local to the call, so concurrent
+  // estimates share nothing mutable. In simplified mode a table is
+  // sigma_i sigma_j rho_L: the rho_mn = rho_L model applies to the
+  // process-variation component only, since state choice is independent
+  // across gates (cf. eq. (10)).
+  const double mu_l = chars_->process().length().mean_nm;
+  const double sigma_l = chars_->process().length().sigma_total_nm();
+  std::vector<std::optional<charlib::MixtureCovariance>> tables(keys.size() *
+                                                                (keys.size() + 1) / 2);
+  const auto table = [&](std::size_t i, std::size_t j) -> const charlib::MixtureCovariance& {
+    if (i > j) std::swap(i, j);
+    std::optional<charlib::MixtureCovariance>& t = tables[j * (j + 1) / 2 + i];
+    if (!t)
+      t.emplace(state_mixture(*chars_, keys[i]), state_mixture(*chars_, keys[j]), mode_, mu_l,
+                sigma_l);
+    return *t;
+  };
 
   double mean = 0.0, var = 0.0;
   for (const auto& d : dist) {
@@ -115,28 +128,9 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       const std::size_t dr = ra > rb ? ra - rb : rb - ra;
       const std::size_t dc = ca > cb ? ca - cb : cb - ca;
       const double r = rho[dr * m + dc];
-      double cov;
-      if (mode_ == CorrelationMode::kSimplified) {
-        // rho_mn = rho_L applies to the process-variation component only —
-        // state choice is independent across gates, so the state-mixing
-        // spread must not enter the cross covariance (cf. eq. (10)).
-        cov = dist[a].proc_sigma_na * dist[b].proc_sigma_na * r;
-      } else {
-        const double pos = r * static_cast<double>(kRhoGrid - 1);
-        const auto idx = std::min(static_cast<std::size_t>(pos), kRhoGrid - 2);
-        const double frac = pos - static_cast<double>(idx);
-        cov = 0.0;
-        for (const auto& [sa, pa] : dist[a].states) {
-          for (const auto& [sb, pb] : dist[b].states) {
-            const std::vector<double>& grid =
-                product_grid(dist[a].cell, sa, dist[b].cell, sb);
-            const double e12 = grid[idx] + frac * (grid[idx + 1] - grid[idx]);
-            cov += pa * pb *
-                   (e12 - chars_->cell(dist[a].cell).states[sa].mean_na *
-                              chars_->cell(dist[b].cell).states[sb].mean_na);
-          }
-        }
-      }
+      double cov = 0.0;
+      for (const auto& [ia, pa] : dist[a].states)
+        for (const auto& [ib, pb] : dist[b].states) cov += pa * pb * table(ia, ib).covariance(r);
       var += 2.0 * cov;
     }
   }

@@ -9,10 +9,6 @@
 // ball-park assumption costs on real(istic) topologies
 // (bench_signal_propagation).
 
-#include <optional>
-#include <unordered_map>
-#include <vector>
-
 #include "core/estimate.h"
 #include "core/random_gate.h"
 #include "netlist/connectivity.h"
@@ -26,20 +22,14 @@ class ConnectivityAwareEstimator {
 
   /// Exact pairwise estimate of the connected netlist placed row-major on
   /// `fp` (gate g at site g), with primary inputs at `input_probability` and
-  /// per-gate state distributions from probability propagation.
+  /// per-gate state distributions from probability propagation. Safe to call
+  /// concurrently: the covariance tables are local to each call.
   LeakageEstimate estimate(const netlist::ConnectedNetlist& netlist,
                            const placement::Floorplan& fp, double input_probability) const;
 
  private:
   const charlib::CharacterizedLibrary* chars_;
   CorrelationMode mode_;
-
-  // Analytic mode: product-moment rho grids per (cell,state)x(cell,state).
-  static constexpr std::size_t kRhoGrid = 33;
-  mutable std::unordered_map<std::uint64_t, std::vector<double>> product_grid_;
-
-  const std::vector<double>& product_grid(std::size_t cell_a, std::uint32_t state_a,
-                                          std::size_t cell_b, std::uint32_t state_b) const;
 };
 
 }  // namespace rgleak::core

@@ -125,67 +125,32 @@ LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::F
 
 ExactEstimator::ExactEstimator(const charlib::CharacterizedLibrary& chars,
                                double signal_probability, CorrelationMode mode)
-    : chars_(&chars),
-      signal_probability_(signal_probability),
-      mode_(mode),
-      num_types_(chars.size()),
-      pair_grid_(mode == CorrelationMode::kAnalytic ? chars.size() * chars.size() : 0) {
+    : chars_(&chars), mode_(mode), num_types_(chars.size()), pair_table_(num_types_ * num_types_) {
+  charlib::require_mode_supported(chars, mode);
   effective_.resize(num_types_);
-  proc_sigma_.resize(num_types_);
-  state_probs_.resize(num_types_);
+  type_components_.resize(num_types_);
   for (std::size_t i = 0; i < num_types_; ++i) {
-    state_probs_[i] = chars.state_probabilities(i, signal_probability);
-    effective_[i] = chars.effective(i, state_probs_[i]);
-    // State-weighted process sigma: the component of spread that is shared
-    // through L (state choice is independent across gates and must not enter
-    // cross covariances; cf. eq. (10)).
-    double ps = 0.0;
-    for (std::size_t s = 0; s < state_probs_[i].size(); ++s)
-      ps += state_probs_[i][s] * chars.cell(i).states[s].sigma_na;
-    proc_sigma_[i] = ps;
-  }
-  if (mode_ == CorrelationMode::kAnalytic) {
-    RGLEAK_REQUIRE(chars.has_models(),
-                   "analytic correlation mode needs an analytically characterized library");
+    effective_[i] = chars.effective(i, chars.state_probabilities(i, signal_probability));
+    // Usage concentrated on cell i: the mixture of its states alone.
+    std::vector<double> only_i(num_types_, 0.0);
+    only_i[i] = 1.0;
+    type_components_[i] = charlib::make_rg_components(chars, only_i, signal_probability);
   }
 }
 
-double ExactEstimator::exact_pair_covariance(std::size_t m, std::size_t n, double rho_l) const {
-  const double mu_l = chars_->process().length().mean_nm;
-  const double sigma_l = chars_->process().length().sigma_total_nm();
-  const auto& cm = chars_->cell(m);
-  const auto& cn = chars_->cell(n);
-  double cov = 0.0;
-  for (std::size_t sm = 0; sm < cm.states.size(); ++sm) {
-    const double pm = state_probs_[m][sm];
-    if (pm == 0.0) continue;
-    for (std::size_t sn = 0; sn < cn.states.size(); ++sn) {
-      const double pn = state_probs_[n][sn];
-      if (pn == 0.0) continue;
-      cov += pm * pn *
-             (charlib::pair_product_expectation(*cm.states[sm].model, *cn.states[sn].model, mu_l,
-                                                sigma_l, rho_l) -
-              cm.states[sm].mean_na * cn.states[sn].mean_na);
-    }
-  }
-  return cov;
-}
+const charlib::MixtureCovariance& ExactEstimator::pair_table(std::size_t m, std::size_t n) const {
+  std::atomic<const charlib::MixtureCovariance*>& slot = pair_table_[m * num_types_ + n];
+  if (const charlib::MixtureCovariance* t = slot.load(std::memory_order_acquire)) return *t;
 
-const std::vector<double>& ExactEstimator::pair_grid(std::size_t m, std::size_t n) const {
-  std::atomic<const std::vector<double>*>& slot = pair_grid_[m * num_types_ + n];
-  if (const std::vector<double>* g = slot.load(std::memory_order_acquire)) return *g;
-
-  std::lock_guard<std::mutex> lock(pair_grid_mutex_);
-  if (const std::vector<double>* g = slot.load(std::memory_order_relaxed)) return *g;
-  auto grid = std::make_unique<std::vector<double>>(kRhoGrid);
-  for (std::size_t i = 0; i < kRhoGrid; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(kRhoGrid - 1);
-    (*grid)[i] = exact_pair_covariance(m, n, rho);
-  }
-  const std::vector<double>* ptr = grid.get();
-  pair_grid_owned_.push_back(std::move(grid));
+  std::lock_guard<std::mutex> lock(pair_table_mutex_);
+  if (const charlib::MixtureCovariance* t = slot.load(std::memory_order_relaxed)) return *t;
+  auto table = std::make_unique<const charlib::MixtureCovariance>(
+      type_components_[m], type_components_[n], mode_, chars_->process().length().mean_nm,
+      chars_->process().length().sigma_total_nm());
+  const charlib::MixtureCovariance* ptr = table.get();
+  pair_table_owned_.push_back(std::move(table));
   if (m != n)
-    pair_grid_[n * num_types_ + m].store(ptr, std::memory_order_release);  // symmetric
+    pair_table_[n * num_types_ + m].store(ptr, std::memory_order_release);  // symmetric
   slot.store(ptr, std::memory_order_release);
   return *ptr;
 }
@@ -193,14 +158,7 @@ const std::vector<double>& ExactEstimator::pair_grid(std::size_t m, std::size_t 
 double ExactEstimator::type_covariance(std::size_t type_m, std::size_t type_n,
                                        double rho_l) const {
   RGLEAK_REQUIRE(type_m < num_types_ && type_n < num_types_, "cell type out of range");
-  RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  if (mode_ == CorrelationMode::kSimplified)
-    return proc_sigma_[type_m] * proc_sigma_[type_n] * rho_l;
-  const std::vector<double>& grid = pair_grid(type_m, type_n);
-  const double pos = rho_l * static_cast<double>(kRhoGrid - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), kRhoGrid - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid[idx] + frac * (grid[idx + 1] - grid[idx]);
+  return pair_table(type_m, type_n).covariance(rho_l);
 }
 
 std::vector<double> ExactEstimator::offset_rho(const placement::Floorplan& fp) const {
@@ -267,7 +225,7 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
   const util::MemoryReservation arena(
       Planner::exact_direct_bytes(n, fp.rows, fp.cols), "core.exact.direct");
 
-  // Pre-resolve gate types/coordinates and warm the pair grids for used
+  // Pre-resolve gate types/coordinates and warm the pair tables for used
   // types, so the tiled loop below is read-only on shared state.
   std::vector<std::size_t> type(n), row(n), col(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -276,13 +234,11 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
     row[i] = site / m;
     col[i] = site % m;
   }
-  if (mode_ == CorrelationMode::kAnalytic) {
-    std::vector<bool> used(num_types_, false);
-    for (std::size_t t : type) used[t] = true;
-    for (std::size_t a = 0; a < num_types_; ++a)
-      for (std::size_t b = a; b < num_types_; ++b)
-        if (used[a] && used[b]) (void)pair_grid(a, b);
-  }
+  std::vector<bool> used(num_types_, false);
+  for (std::size_t t : type) used[t] = true;
+  for (std::size_t a = 0; a < num_types_; ++a)
+    for (std::size_t b = a; b < num_types_; ++b)
+      if (used[a] && used[b]) (void)pair_table(a, b);
 
   const std::vector<double> rho = offset_rho(fp);
 
@@ -372,11 +328,14 @@ LeakageEstimate ExactEstimator::estimate_fft(const placement::Placement& placeme
   double var = diag;
   if (run != nullptr) run->poll("exact.fft");
   if (mode_ == CorrelationMode::kSimplified) {
-    // cov(t, u, rho) = ps_t ps_u rho separates, so a single autocorrelation
-    // of the ps-weighted occupancy grid carries all type pairs at once.
+    // cov(t, u, rho) = ps_t ps_u rho separates (ps = sum_s p_s sigma_s), so
+    // a single autocorrelation of the ps-weighted occupancy grid carries all
+    // type pairs at once.
+    std::vector<double> ps(num_types_);
+    for (std::size_t t = 0; t < num_types_; ++t)
+      ps[t] = charlib::weighted_sigma(type_components_[t]);
     std::vector<double> weighted(k * m, 0.0);
-    for (std::size_t g = 0; g < n; ++g)
-      weighted[placement.site_of(g)] = proc_sigma_[nl.gate(g).cell_index];
+    for (std::size_t g = 0; g < n; ++g) weighted[placement.site_of(g)] = ps[nl.gate(g).cell_index];
     const auto ft = xcorr.transform(weighted);
     var += fold_dot(xcorr.correlate(ft, ft), rho, /*integer_counts=*/false);
   } else {

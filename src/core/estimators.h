@@ -85,10 +85,9 @@ struct ExactOptions {
 
 /// The "true leakage" of a placed design. The covariance between two placed
 /// gates mixes the per-state pairwise covariances of their cell types under
-/// the signal-probability state distribution; in analytic mode these come
-/// from the f_{m,n} mapping (cached per type pair on a rho grid), in
-/// simplified mode cov = sigma_m sigma_n rho_L(d). Thread-safe: concurrent
-/// estimate() / type_covariance() calls are allowed.
+/// the signal-probability state distribution: one charlib::MixtureCovariance
+/// per type pair, built on first use. Thread-safe: concurrent estimate() /
+/// type_covariance() calls are allowed.
 class ExactEstimator {
  public:
   ExactEstimator(const charlib::CharacterizedLibrary& chars, double signal_probability,
@@ -107,23 +106,20 @@ class ExactEstimator {
 
  private:
   const charlib::CharacterizedLibrary* chars_;
-  double signal_probability_;
   CorrelationMode mode_;
-  std::vector<charlib::EffectiveCellStats> effective_;     // per library cell
-  std::vector<double> proc_sigma_;                         // state-weighted process sigma
-  std::vector<std::vector<double>> state_probs_;           // per library cell
+  std::vector<charlib::EffectiveCellStats> effective_;  // per library cell
+  // Per library cell: its states as a mixture weighted by state probability.
+  std::vector<std::vector<charlib::RgComponent>> type_components_;
   std::size_t num_types_ = 0;
 
-  // Analytic mode: per type pair, covariance sampled on a uniform rho grid.
+  // Per type pair, the mixture covariance table of the two types' states.
   // Lazily built, double-checked: a published slot is immutable, so the hot
   // path is a single acquire load; misses build under the mutex.
-  static constexpr std::size_t kRhoGrid = 33;
-  mutable std::vector<std::atomic<const std::vector<double>*>> pair_grid_;  // p*p slots
-  mutable std::vector<std::unique_ptr<const std::vector<double>>> pair_grid_owned_;
-  mutable std::mutex pair_grid_mutex_;
+  mutable std::vector<std::atomic<const charlib::MixtureCovariance*>> pair_table_;  // p*p slots
+  mutable std::vector<std::unique_ptr<const charlib::MixtureCovariance>> pair_table_owned_;
+  mutable std::mutex pair_table_mutex_;
 
-  const std::vector<double>& pair_grid(std::size_t m, std::size_t n) const;
-  double exact_pair_covariance(std::size_t m, std::size_t n, double rho_l) const;
+  const charlib::MixtureCovariance& pair_table(std::size_t m, std::size_t n) const;
 
   /// rho_L per grid offset (|drow| * cols + |dcol|), shared by both paths.
   std::vector<double> offset_rho(const placement::Floorplan& fp) const;

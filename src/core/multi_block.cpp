@@ -20,7 +20,7 @@ MultiBlockEstimator::MultiBlockEstimator(const charlib::CharacterizedLibrary& ch
                                          placement::Floorplan floorplan,
                                          std::vector<BlockSpec> blocks,
                                          double signal_probability, CorrelationMode mode)
-    : chars_(&chars), fp_(floorplan), blocks_(std::move(blocks)), mode_(mode) {
+    : chars_(&chars), fp_(floorplan), blocks_(std::move(blocks)) {
   RGLEAK_REQUIRE(!blocks_.empty(), "multi-block estimator needs at least one block");
   for (const auto& b : blocks_) {
     RGLEAK_REQUIRE(b.cols >= 1 && b.rows >= 1, "block '" + b.name + "' is empty");
@@ -43,17 +43,10 @@ MultiBlockEstimator::MultiBlockEstimator(const charlib::CharacterizedLibrary& ch
 
   const double mu = chars.process().length().mean_nm;
   const double sigma = chars.process().length().sigma_total_nm();
-  cross_.reserve(blocks_.size() * blocks_.size());
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    for (std::size_t j = 0; j < blocks_.size(); ++j) {
-      if (j < i) continue;  // store upper triangle in order
-      if (mode == CorrelationMode::kAnalytic) {
-        cross_.emplace_back(components[i], components[j], mu, sigma);
-      } else {
-        cross_.emplace_back(components[i], components[j], /*simplified=*/true);
-      }
-    }
-  }
+  cross_.reserve(blocks_.size() * (blocks_.size() - 1) / 2);
+  for (std::size_t i = 0; i < blocks_.size(); ++i)
+    for (std::size_t j = i + 1; j < blocks_.size(); ++j)
+      cross_.emplace_back(components[i], components[j], mode, mu, sigma);
 }
 
 const BlockSpec& MultiBlockEstimator::block(std::size_t b) const {
@@ -61,14 +54,13 @@ const BlockSpec& MultiBlockEstimator::block(std::size_t b) const {
   return blocks_[b];
 }
 
-const charlib::CrossRgCovariance& MultiBlockEstimator::cross(std::size_t b1,
+const charlib::MixtureCovariance& MultiBlockEstimator::cross(std::size_t b1,
                                                              std::size_t b2) const {
   if (b1 > b2) std::swap(b1, b2);
-  // Upper-triangular row-major layout: row i starts after sum of previous
-  // row lengths (n - k for k < i).
+  // Row i of the strict upper triangle holds n - 1 - i entries.
   const std::size_t n = blocks_.size();
-  const std::size_t row_start = b1 * n - b1 * (b1 + 1) / 2 + b1;  // == b1*(n) - ...
-  return cross_[row_start + (b2 - b1)];
+  const std::size_t row_start = b1 * (n - 1) - b1 * (b1 - 1) / 2;
+  return cross_[row_start + (b2 - b1 - 1)];
 }
 
 double MultiBlockEstimator::rect_pair_sum(std::size_t b1, std::size_t b2) const {
@@ -80,8 +72,8 @@ double MultiBlockEstimator::rect_pair_sum(std::size_t b1, std::size_t b2) const 
   const auto mbc = static_cast<long long>(b.cols), mbr = static_cast<long long>(b.rows);
 
   const bool same = b1 == b2;
-  const auto& cross_model = cross(b1, b2);
   const RandomGate& rg = rg_[b1];
+  const charlib::MixtureCovariance* cross_model = same ? nullptr : &cross(b1, b2);
   const process::ProcessVariation& process = chars_->process();
 
   double total = 0.0;
@@ -102,7 +94,7 @@ double MultiBlockEstimator::rect_pair_sum(std::size_t b1, std::size_t b2) const 
       if (same) {
         cov = rg.covariance_at_offset(dx, dy);  // handles the (0,0) diagonal
       } else {
-        cov = cross_model.covariance(process.total_length_correlation_xy(dx, dy));
+        cov = cross_model->covariance(process.total_length_correlation_xy(dx, dy));
       }
       total += wc * wr * cov;
     }

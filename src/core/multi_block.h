@@ -74,13 +74,12 @@ class MultiBlockEstimator {
   const charlib::CharacterizedLibrary* chars_;
   placement::Floorplan fp_;
   std::vector<BlockSpec> blocks_;
-  CorrelationMode mode_;
   std::vector<RandomGate> rg_;  // one per block
-  // Upper-triangular (including diagonal) cross-covariance models indexed
-  // b1 * nblocks + b2 for b1 <= b2.
-  std::vector<charlib::CrossRgCovariance> cross_;
+  // Cross-block covariance tables for b1 < b2, strictly upper-triangular,
+  // row-major. A block's own pairs use its RandomGate.
+  std::vector<charlib::MixtureCovariance> cross_;
 
-  const charlib::CrossRgCovariance& cross(std::size_t b1, std::size_t b2) const;
+  const charlib::MixtureCovariance& cross(std::size_t b1, std::size_t b2) const;
   double rect_pair_sum(std::size_t b1, std::size_t b2) const;
 };
 

@@ -2,48 +2,43 @@
 
 #include <cmath>
 
-#include "util/require.h"
-
 namespace rgleak::core {
+
+namespace {
+
+std::vector<charlib::RgComponent> rg_components(const charlib::CharacterizedLibrary& chars,
+                                                const netlist::UsageHistogram& usage,
+                                                double signal_probability,
+                                                CorrelationMode mode) {
+  usage.validate();
+  charlib::require_mode_supported(chars, mode);
+  return charlib::make_rg_components(chars, usage.alphas, signal_probability);
+}
+
+}  // namespace
 
 RandomGate::RandomGate(const charlib::CharacterizedLibrary& chars,
                        const netlist::UsageHistogram& usage, double signal_probability,
                        CorrelationMode mode)
-    : process_(chars.process()), mode_(mode) {
-  usage.validate();
-  std::vector<charlib::RgComponent> components =
-      charlib::make_rg_components(chars, usage.alphas, signal_probability);
-  if (mode == CorrelationMode::kAnalytic) {
-    RGLEAK_REQUIRE(chars.has_models(),
-                   "analytic correlation mode needs an analytically characterized library");
-    cov_ = std::make_shared<charlib::AnalyticRgCovariance>(
-        std::move(components), process_.length().mean_nm, process_.length().sigma_total_nm());
-  } else {
-    cov_ = std::make_shared<charlib::SimplifiedRgCovariance>(components);
-  }
-  covariance_floor_ = cov_->covariance(process_.length().d2d_variance_fraction());
-}
+    : RandomGate(chars, rg_components(chars, usage, signal_probability, mode), mode) {}
+
+RandomGate::RandomGate(const charlib::CharacterizedLibrary& chars,
+                       const std::vector<charlib::RgComponent>& components,
+                       CorrelationMode mode)
+    : process_(chars.process()),
+      moments_(charlib::mixture_moments(components)),
+      cov_(components, components, mode, process_.length().mean_nm,
+           process_.length().sigma_total_nm(), /*grid_points=*/65),
+      covariance_floor_(cov_.covariance(process_.length().d2d_variance_fraction())) {}
 
 double RandomGate::sigma_na() const {
   const double v = variance_na2();
   return v > 0.0 ? std::sqrt(v) : 0.0;
 }
 
-double RandomGate::covariance_at_distance(double d_nm) const {
-  RGLEAK_REQUIRE(d_nm >= 0.0, "distance must be non-negative");
-  if (d_nm == 0.0) return variance_na2();
-  return cov_->covariance(process_.total_length_correlation(d_nm));
-}
-
 double RandomGate::covariance_at_offset(double dx_nm, double dy_nm) const {
   if (dx_nm == 0.0 && dy_nm == 0.0) return variance_na2();
-  return cov_->covariance(process_.total_length_correlation_xy(dx_nm, dy_nm));
-}
-
-double RandomGate::correlation_at_distance(double d_nm) const {
-  const double v = variance_na2();
-  RGLEAK_REQUIRE(v > 0.0, "RG has zero variance");
-  return covariance_at_distance(d_nm) / v;
+  return cov_.covariance(process_.total_length_correlation_xy(dx_nm, dy_nm));
 }
 
 }  // namespace rgleak::core

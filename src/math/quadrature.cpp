@@ -1,6 +1,7 @@
 #include "math/quadrature.h"
 
 #include <cmath>
+#include <sstream>
 
 #include "util/require.h"
 
@@ -8,27 +9,39 @@ namespace rgleak::math {
 
 namespace {
 
+// Evaluation budget of one integrate_adaptive call. The estimators' integrands
+// meet their tolerances in under 20,000 evaluations; a tolerance that rounding
+// cannot reach keeps bisecting everywhere, so it fails here instead.
+constexpr std::size_t kMaxEvaluations = std::size_t{1} << 20;
+
 double simpson(double fa, double fm, double fb, double h) { return h / 6.0 * (fa + 4.0 * fm + fb); }
 
+[[noreturn]] void tolerance_not_met(double a, double b, const char* why) {
+  std::ostringstream os;
+  os << "integrate_adaptive: tolerance not met on [" << a << ", " << b << "]: " << why;
+  throw NumericalError(os.str());
+}
+
 double adaptive_simpson_rec(const std::function<double(double)>& f, double a, double b, double fa,
-                            double fm, double fb, double whole, double tol, int depth,
-                            int max_depth) {
+                            double fm, double fb, double whole, double tol,
+                            std::size_t& evaluations) {
   const double m = 0.5 * (a + b);
   const double lm = 0.5 * (a + m);
   const double rm = 0.5 * (m + b);
+  // An interval too narrow to bisect in floating point keeps its estimate:
+  // its share of the integral is below rounding.
+  if (!(a < lm && rm < b)) return whole;
+  evaluations += 2;
+  if (evaluations > kMaxEvaluations) tolerance_not_met(a, b, "evaluation budget exhausted");
   const double flm = f(lm);
   const double frm = f(rm);
   const double left = simpson(fa, flm, fm, m - a);
   const double right = simpson(fm, frm, fb, b - m);
   const double delta = left + right - whole;
-  if (depth >= max_depth) {
-    // Accept the refined estimate; the Richardson correction below bounds the
-    // residual error, and the estimators never need more depth in practice.
-    return left + right + delta / 15.0;
-  }
+  if (!std::isfinite(delta)) tolerance_not_met(a, b, "integrand is not finite");
   if (std::abs(delta) <= 15.0 * tol) return left + right + delta / 15.0;
-  return adaptive_simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, max_depth) +
-         adaptive_simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, max_depth);
+  return adaptive_simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, evaluations) +
+         adaptive_simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, evaluations);
 }
 
 }  // namespace
@@ -51,6 +64,7 @@ double integrate_adaptive(const std::function<double(double)>& f, double a, doub
   const double tol =
       std::max(opts.abs_tol, opts.rel_tol * std::abs(coarse)) / kInitialPanels;
 
+  std::size_t evaluations = 0;
   double total = 0.0;
   for (int p = 0; p < kInitialPanels; ++p) {
     const double pa = a + p * h;
@@ -59,7 +73,7 @@ double integrate_adaptive(const std::function<double(double)>& f, double a, doub
     const double fm = f(0.5 * (pa + pb));
     const double fb = f(pb);
     const double whole = simpson(fa, fm, fb, h);
-    total += adaptive_simpson_rec(f, pa, pb, fa, fm, fb, whole, tol, 0, opts.max_depth);
+    total += adaptive_simpson_rec(f, pa, pb, fa, fm, fb, whole, tol, evaluations);
   }
   return total;
 }

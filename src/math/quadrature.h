@@ -13,11 +13,11 @@ namespace rgleak::math {
 struct QuadratureOptions {
   double abs_tol = 1e-10;
   double rel_tol = 1e-9;
-  int max_depth = 40;  ///< maximum recursive bisection depth
 };
 
 /// Adaptive Simpson integration of f over [a, b]. Throws NumericalError when
-/// the requested tolerance cannot be met within max_depth.
+/// the requested tolerance cannot be met within a fixed evaluation budget
+/// (about a million evaluations), or when f is not finite.
 double integrate_adaptive(const std::function<double(double)>& f, double a, double b,
                           const QuadratureOptions& opts = {});
 

@@ -29,10 +29,6 @@ ProcessVariation::ProcessVariation(LengthVariation length, VtVariation vt,
                  "anisotropy scales must be positive");
 }
 
-double ProcessVariation::total_length_correlation(double distance_nm) const {
-  return total_length_correlation_xy(distance_nm, 0.0);
-}
-
 double ProcessVariation::total_length_correlation_xy(double dx_nm, double dy_nm) const {
   const double d_eff = std::hypot(dx_nm / anisotropy_.scale_x, dy_nm / anisotropy_.scale_y);
   if (d_eff == 0.0) return 1.0;

@@ -54,14 +54,9 @@ class ProcessVariation {
   const SpatialCorrelation& wid_correlation() const { return *wid_corr_; }
   std::shared_ptr<const SpatialCorrelation> wid_correlation_ptr() const { return wid_corr_; }
 
-  /// Total channel-length correlation between two devices separated by
-  /// distance d (nm), combining D2D (constant) and WID (distance-dependent)
-  /// components. rho_total(0) == 1. For anisotropic processes this treats the
-  /// separation as lying along the x axis; prefer the (dx, dy) overload.
-  double total_length_correlation(double distance_nm) const;
-
-  /// Total channel-length correlation for an (dx, dy) separation, applying
-  /// the anisotropy scaling. Equals the distance form when isotropic.
+  /// Total channel-length correlation between two devices at an (dx, dy)
+  /// separation (nm), combining D2D (constant) and WID (distance-dependent)
+  /// components after the anisotropy scaling. rho_total(0, 0) == 1.
   double total_length_correlation_xy(double dx_nm, double dy_nm) const;
 
   const CorrelationAnisotropy& anisotropy() const { return anisotropy_; }

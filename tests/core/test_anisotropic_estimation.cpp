@@ -86,7 +86,7 @@ TEST(AnisotropicEstimation, IsotropicLimitRecovered) {
   // ax = ay = 1 must reproduce the isotropic result exactly.
   const auto chars_iso = aniso_chars(1.0, 1.0);
   const RandomGate rg(chars_iso, usage(), 0.5, CorrelationMode::kAnalytic);
-  EXPECT_NEAR(rg.covariance_at_offset(300.0, 400.0), rg.covariance_at_distance(500.0),
+  EXPECT_NEAR(rg.covariance_at_offset(300.0, 400.0), rg.covariance_at_offset(500.0, 0.0),
               1e-12 * rg.variance_na2());
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <thread>
+#include <vector>
 
 #include "../test_util.h"
 #include "core/estimators.h"
@@ -65,7 +68,9 @@ TEST(ConnectivityEstimator, MatchesGlobalPWhenAllInputsAtHalf) {
   const LeakageEstimate e_global = global.estimate(pl);
 
   EXPECT_NEAR(e_aware.mean_na, e_global.mean_na, 1e-6 * e_global.mean_na);
-  EXPECT_NEAR(e_aware.sigma_na, e_global.sigma_na, 1e-3 * e_global.sigma_na);
+  // Both read the same per-(cell, state) covariance tables; only the
+  // summation order differs.
+  EXPECT_NEAR(e_aware.sigma_na, e_global.sigma_na, 1e-9 * e_global.sigma_na);
 }
 
 TEST(ConnectivityEstimator, PropagationShiftsTheEstimate) {
@@ -116,6 +121,32 @@ TEST(ConnectivityEstimator, ExtremeInputProbabilitiesPruneStates) {
     const LeakageEstimate e = aware.estimate(nl, grid(8), p);
     EXPECT_GT(e.mean_na, 0.0);
     EXPECT_GT(e.sigma_na, 0.0);
+  }
+}
+
+TEST(ConnectivityEstimator, ConcurrentEstimatesAreSafe) {
+  // One cold estimator shared by several threads: every result must equal the
+  // serial one, computed on a separate estimator, bit for bit.
+  math::Rng rng(41);
+  const std::size_t side = 10;
+  const netlist::ConnectedNetlist nl =
+      netlist::generate_random_dag(mini_library(), usage(), side * side, 8, rng);
+  const placement::Floorplan fp = grid(side);
+  const double probs[] = {0.5, 0.3, 0.7, 0.2};
+  constexpr std::size_t kThreads = std::size(probs);
+  const ConnectivityAwareEstimator reference(mini_chars_analytic(), CorrelationMode::kAnalytic);
+  std::vector<LeakageEstimate> serial;
+  for (double p : probs) serial.push_back(reference.estimate(nl, fp, p));
+
+  const ConnectivityAwareEstimator shared(mini_chars_analytic(), CorrelationMode::kAnalytic);
+  std::vector<LeakageEstimate> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { results[t] = shared.estimate(nl, fp, probs[t]); });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[t].mean_na, serial[t].mean_na) << "p = " << probs[t];
+    EXPECT_EQ(results[t].sigma_na, serial[t].sigma_na) << "p = " << probs[t];
   }
 }
 

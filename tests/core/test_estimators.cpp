@@ -48,7 +48,7 @@ double brute_force_variance(const RandomGate& rg, const placement::Floorplan& fp
     const double xa = fp.site_x_nm(a % fp.cols), ya = fp.site_y_nm(a / fp.cols);
     for (std::size_t b = 0; b < n; ++b) {
       const double xb = fp.site_x_nm(b % fp.cols), yb = fp.site_y_nm(b / fp.cols);
-      var += rg.covariance_at_distance(std::hypot(xa - xb, ya - yb));
+      var += rg.covariance_at_offset(xa - xb, ya - yb);
     }
   }
   return var;

@@ -83,7 +83,7 @@ TEST_P(EstimatorPropertyTest, LinearMatchesBruteForce) {
     for (std::size_t b = 0; b < fp.num_sites(); ++b) {
       const double dx = fp.site_x_nm(a % fp.cols) - fp.site_x_nm(b % fp.cols);
       const double dy = fp.site_y_nm(a / fp.cols) - fp.site_y_nm(b / fp.cols);
-      brute += rg.covariance_at_distance(std::hypot(dx, dy));
+      brute += rg.covariance_at_offset(dx, dy);
     }
   EXPECT_NEAR(estimate_linear(rg, fp).variance_na2(), brute, 1e-9 * brute);
 }

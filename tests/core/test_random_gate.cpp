@@ -53,17 +53,16 @@ TEST(RandomGate, VarianceExceedsMeanWeightedCellVariances) {
   EXPECT_GT(rg.variance_na2(), avg_cell_var);
 }
 
-TEST(RandomGate, CovarianceAtZeroDistanceIsVariance) {
+TEST(RandomGate, CovarianceAtZeroOffsetIsVariance) {
   const RandomGate rg(mini_chars_analytic(), test_usage(), 0.5, CorrelationMode::kAnalytic);
-  EXPECT_DOUBLE_EQ(rg.covariance_at_distance(0.0), rg.variance_na2());
-  EXPECT_DOUBLE_EQ(rg.correlation_at_distance(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(rg.covariance_at_offset(0.0, 0.0), rg.variance_na2());
 }
 
 TEST(RandomGate, CovarianceDecreasesWithDistance) {
   const RandomGate rg(mini_chars_analytic(), test_usage(), 0.5, CorrelationMode::kAnalytic);
-  double prev = rg.covariance_at_distance(1.0);
+  double prev = rg.covariance_at_offset(1.0, 0.0);
   for (double d = 100.0; d <= 1.0e5; d *= 2.0) {
-    const double c = rg.covariance_at_distance(d);
+    const double c = rg.covariance_at_offset(d, 0.0);
     EXPECT_LE(c, prev + 1e-9);
     EXPECT_GT(c, 0.0);
     prev = c;
@@ -73,7 +72,7 @@ TEST(RandomGate, CovarianceDecreasesWithDistance) {
 TEST(RandomGate, CovarianceFloorsAtD2dLevel) {
   const RandomGate rg(mini_chars_analytic(), test_usage(), 0.5, CorrelationMode::kAnalytic);
   // Beyond the WID range only the D2D part of the length correlation is left.
-  const double far = rg.covariance_at_distance(1.0e9);
+  const double far = rg.covariance_at_offset(1.0e9, 0.0);
   EXPECT_NEAR(far, rg.covariance_floor_na2(), 1e-4 * rg.covariance_floor_na2());
   EXPECT_GT(rg.covariance_floor_na2(), 0.0);
   EXPECT_LT(rg.covariance_floor_na2(), rg.variance_na2());
@@ -83,7 +82,7 @@ TEST(RandomGate, SimplifiedModeWorksWithoutModels) {
   const RandomGate rg(mini_chars_mc(), test_usage(), 0.5, CorrelationMode::kSimplified);
   EXPECT_GT(rg.mean_na(), 0.0);
   EXPECT_GT(rg.variance_na2(), 0.0);
-  EXPECT_GT(rg.covariance_at_distance(100.0), 0.0);
+  EXPECT_GT(rg.covariance_at_offset(100.0, 0.0), 0.0);
 }
 
 TEST(RandomGate, AnalyticModeRejectsMcLibrary) {
@@ -97,8 +96,8 @@ TEST(RandomGate, SimplifiedCloseToAnalytic) {
   const RandomGate s(mini_chars_analytic(), test_usage(), 0.5, CorrelationMode::kSimplified);
   EXPECT_NEAR(a.mean_na(), s.mean_na(), 1e-9 * a.mean_na());
   for (double d : {1e3, 1e4, 5e4}) {
-    EXPECT_NEAR(s.covariance_at_distance(d), a.covariance_at_distance(d),
-                0.1 * a.covariance_at_distance(d));
+    EXPECT_NEAR(s.covariance_at_offset(d, 0.0), a.covariance_at_offset(d, 0.0),
+                0.1 * a.covariance_at_offset(d, 0.0));
   }
 }
 
@@ -113,8 +112,6 @@ TEST(RandomGate, RejectsInvalidInputs) {
   bad.alphas.assign(mini_library().size(), 0.0);
   EXPECT_THROW(RandomGate(mini_chars_analytic(), bad, 0.5, CorrelationMode::kAnalytic),
                ContractViolation);
-  const RandomGate rg(mini_chars_analytic(), test_usage(), 0.5, CorrelationMode::kAnalytic);
-  EXPECT_THROW(rg.covariance_at_distance(-1.0), ContractViolation);
 }
 
 }  // namespace

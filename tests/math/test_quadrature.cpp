@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
+#include "../test_util.h"
+#include "core/estimators.h"
 #include "util/require.h"
 
 namespace rgleak::math {
@@ -41,8 +44,44 @@ TEST(AdaptiveSimpson, SharpPeak) {
   const double sigma = 1e-2;
   const double v = integrate_adaptive(
       [=](double x) { return std::exp(-0.5 * (x - 0.37) * (x - 0.37) / (sigma * sigma)); }, 0.0,
-      1.0, {1e-12, 1e-10, 60});
+      1.0, {1e-12, 1e-10});
   EXPECT_NEAR(v, std::sqrt(2.0 * M_PI) * sigma, 1e-8);
+}
+
+TEST(AdaptiveSimpson, NonFiniteIntegrandThrows) {
+  EXPECT_THROW(integrate_adaptive([](double x) { return x < 0.3 ? 1.0 : std::nan(""); }, 0.0, 1.0),
+               NumericalError);
+}
+
+TEST(AdaptiveSimpson, UnreachableToleranceThrowsQuickly) {
+  // The polar estimator at rel_tol = 1e-13, abs_tol = 0 (exponential kernel,
+  // anisotropy (3, 1), 1:3 die, D_max / min(W, H) = 5): rounding in the
+  // integrand keeps every Simpson correction above the tolerance, which used
+  // to bisect toward 2^40 evaluations. It must fail typed, and fast.
+  const charlib::CharacterizedLibrary& base = rgleak::testing::mini_chars_analytic();
+  std::vector<charlib::CellChar> cells;
+  for (std::size_t i = 0; i < base.size(); ++i) cells.push_back(base.cell(i));
+  const process::ProcessVariation proc(base.process().length(), base.process().vt(),
+                                       process::make_correlation("exponential", 1.0e4),
+                                       process::CorrelationAnisotropy{3.0, 1.0});
+  const charlib::CharacterizedLibrary chars(&rgleak::testing::mini_library(), proc, cells);
+  netlist::UsageHistogram usage;
+  usage.alphas.assign(chars.size(), 0.0);
+  usage.alphas[rgleak::testing::mini_library().index_of("INV_X1")] = 0.5;
+  usage.alphas[rgleak::testing::mini_library().index_of("NAND2_X1")] = 0.5;
+  const core::RandomGate rg(chars, usage, 0.5, core::CorrelationMode::kAnalytic);
+  const double side = proc.wid_correlation().range_nm() / 5.0;
+  placement::Floorplan fp;
+  fp.rows = fp.cols = 20;
+  fp.site_w_nm = side / 20.0;
+  fp.site_h_nm = 3.0 * side / 20.0;
+  QuadratureOptions opts;
+  opts.rel_tol = 1e-13;
+  opts.abs_tol = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(core::estimate_integral_polar(rg, fp, opts), NumericalError);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
+            1.0);
 }
 
 TEST(GaussLegendre, NodesSymmetricWeightsSumToTwo) {

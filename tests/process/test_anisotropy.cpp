@@ -25,7 +25,7 @@ ProcessVariation aniso_process(double ax, double ay, double lc = 1000.0) {
 TEST(Anisotropy, IsotropicByDefault) {
   const ProcessVariation p = aniso_process(1.0, 1.0);
   EXPECT_DOUBLE_EQ(p.total_length_correlation_xy(300.0, 400.0),
-                   p.total_length_correlation(500.0));
+                   p.total_length_correlation_xy(500.0, 0.0));
 }
 
 TEST(Anisotropy, StretchedAxisStaysCorrelatedLonger) {
@@ -37,7 +37,7 @@ TEST(Anisotropy, StretchedAxisStaysCorrelatedLonger) {
   // correlation length.
   const ProcessVariation iso = aniso_process(1.0, 1.0, 4000.0);
   EXPECT_NEAR(p.total_length_correlation_xy(2000.0, 0.0),
-              iso.total_length_correlation(2000.0), 1e-12);
+              iso.total_length_correlation_xy(2000.0, 0.0), 1e-12);
 }
 
 TEST(Anisotropy, UniformScaleIsStillIsotropic) {
